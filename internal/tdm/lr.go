@@ -3,6 +3,7 @@ package tdm
 import (
 	"context"
 	"math"
+	"runtime"
 
 	"tdmroute/internal/par"
 	"tdmroute/internal/problem"
@@ -40,7 +41,6 @@ type lrState struct {
 	partialBuf []float64 // reusable per-chunk partial-result buffer
 
 	lambda    []float64 // λ_g, kept projected to sum 1
-	pi        []float64 // π_n = Σ_{g ∋ n} λ_g
 	sqrtPi    []float64 // sqrt(max(π_n, PiFloor)) — pattern weights
 	sqrtPiX   []float64 // sqrt(π_n) exact — lower-bound weights
 	cellRatio []float64 // t_en per edge-major cell
@@ -57,7 +57,6 @@ func newLRState(in *problem.Instance, routes problem.Routing, opt Options) *lrSt
 		in:      in,
 		opt:     opt,
 		lambda:  make([]float64, len(in.Groups)),
-		pi:      make([]float64, len(in.Nets)),
 		sqrtPi:  make([]float64, len(in.Nets)),
 		sqrtPiX: make([]float64, len(in.Nets)),
 		netTDM:  make([]float64, len(in.Nets)),
@@ -179,15 +178,15 @@ func (s *lrState) resetRun(opt Options) {
 	}
 }
 
-// computePi evaluates π_n = Σ_{g ∋ n} λ_g and the derived square roots.
+// computePi evaluates π_n = Σ_{g ∋ n} λ_g and keeps only the derived square
+// roots the pattern and bound sweeps read.
 func (s *lrState) computePi() {
-	par.For(len(s.pi), s.opt.Workers, func(_, start, end int) {
+	par.For(len(s.sqrtPi), s.opt.Workers, func(_, start, end int) {
 		for n := start; n < end; n++ {
 			var p float64
 			for _, gi := range s.netGrp[s.netGrpStart[n]:s.netGrpStart[n+1]] {
 				p += s.lambda[gi]
 			}
-			s.pi[n] = p
 			s.sqrtPiX[n] = math.Sqrt(p)
 			if p < s.opt.PiFloor {
 				p = s.opt.PiFloor
@@ -269,45 +268,30 @@ func (s *lrState) groupTDMs() (z float64) {
 
 // updateMultipliers applies Eq. (15) with the acceleration factor of
 // Eq. (16), then projects λ back onto the simplex to restore the KKT
-// condition Σλ = 1.
+// condition Σλ = 1. The per-group kernel (lrKernel) skips transcendental
+// work only where it provably cannot change a bit of the result.
 func (s *lrState) updateMultipliers(z float64) {
 	if z <= 0 {
 		return
 	}
-	alpha, beta := s.opt.Alpha, s.opt.Beta
-	// k at a zero z-score, precomputed: zscore returns exactly 0 for every
-	// group of the first two iterations and for every degenerate window, so
-	// caching one Sigmoid(±0) (both signed zeros give exactly 1/2) removes
-	// the transcendental from those lanes without changing a bit.
-	k0 := (alpha-1)*stats.Sigmoid(0) + 1
-	// A multiplier already at the floor with norm <= 1 and alpha >= 0 stays
-	// at the floor: k > 0 then, so Pow(norm, k) <= 1, the rounded product
-	// cannot exceed minLambda (rounding is monotone), and the clamp puts it
-	// back. The window still records the sample — only the Pow/Sigmoid work
-	// is skipped, not the history.
-	floorFast := alpha >= 0
+	kn := newLRKernel(s.opt.Alpha, s.opt.Beta)
 	partial := s.scratch(par.NumChunks(len(s.lambda), s.opt.Workers))
 	par.For(len(s.lambda), s.opt.Workers, func(chunk, start, end int) {
 		var sum float64
 		for gi := start; gi < end; gi++ {
-			norm := s.grpTDM[gi] / z // normalized group TDM ∈ (0, 1]
+			norm := s.grpTDM[gi] / z // normalized group TDM ∈ [0, 1]
 			lg := s.lambda[gi]
-			//lint:ignore floateq the floor is an exact-assignment sentinel (the clamp stores the minLambda constant verbatim), so == is a tag test, not a numeric comparison
-			if floorFast && lg == minLambda && norm <= 1 {
+			if kn.certainClamp(norm, lg) {
+				// The window still records the sample — only the
+				// z-score, Sigmoid and Pow work is skipped, not the history.
 				s.windows.push(gi, norm)
+				s.lambda[gi] = minLambda
 				sum += minLambda
 				continue
 			}
 			x := s.windows.zscore(gi, norm)
-			k := k0
-			if x != 0 {
-				k = (alpha-1)*stats.Sigmoid(beta*x) + 1
-			}
 			s.windows.push(gi, norm)
-			lg *= math.Pow(norm, k)
-			if lg < minLambda {
-				lg = minLambda // keep multiplicative updates alive
-			}
+			lg = kn.step(norm, lg, x)
 			s.lambda[gi] = lg
 			sum += lg
 		}
@@ -324,6 +308,116 @@ func (s *lrState) updateMultipliers(z float64) {
 				s.lambda[gi] *= inv
 			}
 		})
+	}
+}
+
+// lrKernel is the per-group multiplier update of Eqs. (15)–(16),
+//
+//	λ_g ← max(λ_g · norm^k, minLambda),  k = (α−1)·Sigmoid(β·x) + 1,
+//
+// with three exact fast paths. Each is taken only inside a domain where it
+// provably returns the bits the plain formula returns, and falls back to
+// the plain formula everywhere else (DESIGN.md §4, "Exact fast paths").
+type lrKernel struct {
+	alpha, beta float64
+	k0          float64 // k at a zero z-score: Sigmoid(±0) is exactly 1/2
+	kHi         float64 // k once Sigmoid has saturated to exactly 1
+	clampFast   bool    // certain-clamp test is sound (α ≥ 1)
+	satFast     bool    // Sigmoid saturation is exact in k (1 ≤ α ≤ 17)
+}
+
+// sigmoidSat is the |β·x| beyond which k no longer depends on x. At
+// β·x ≥ 40, Exp(−40) ≈ 4.2e−18 is below half an ulp of 1 (2^−53), so
+// 1+Exp(−β·x) rounds to 1 and Sigmoid is exactly 1. At β·x ≤ −40,
+// Sigmoid ≤ 4.3e−18 and (α−1)·Sigmoid ≤ 16·4.3e−18 < 2^−53 for α ≤ 17, so
+// k rounds to exactly 1 (fused or not).
+const sigmoidSat = 40
+
+// satAlphaMax bounds α for the low saturation end; see sigmoidSat.
+const satAlphaMax = 17
+
+func newLRKernel(alpha, beta float64) lrKernel {
+	return lrKernel{
+		alpha:     alpha,
+		beta:      beta,
+		k0:        (alpha-1)*stats.Sigmoid(0) + 1,
+		kHi:       (alpha-1)*stats.Sigmoid(sigmoidSat) + 1,
+		clampFast: alpha >= 1,
+		satFast:   alpha >= 1 && alpha <= satAlphaMax,
+	}
+}
+
+// certainClamp reports whether the update of a group with normalized TDM
+// norm and multiplier lg is certain to clamp to minLambda, whatever its
+// z-score. With α ≥ 1 every k lies in [1, α], and norm ∈ [0, 1] gives
+// norm^k ≤ norm; the factor 2 absorbs the few-ulp error of Pow and of the
+// product, so lg·Pow(norm, k) < minLambda and the clamp stores minLambda.
+func (kn lrKernel) certainClamp(norm, lg float64) bool {
+	return kn.clampFast && norm <= 1 && lg*norm < minLambda/2
+}
+
+// exponent returns k of Eq. (16) for the z-score x.
+func (kn lrKernel) exponent(x float64) float64 {
+	if x == 0 {
+		return kn.k0
+	}
+	t := kn.beta * x
+	if kn.satFast {
+		if t >= sigmoidSat {
+			return kn.kHi
+		}
+		if t <= -sigmoidSat {
+			return 1
+		}
+	}
+	return (kn.alpha-1)*stats.Sigmoid(t) + 1
+}
+
+// step returns max(lg·norm^k, minLambda) for the z-score x; the floor keeps
+// multiplicative updates alive.
+func (kn lrKernel) step(norm, lg, x float64) float64 {
+	lg *= lrPow(norm, kn.exponent(x))
+	if lg < minLambda {
+		lg = minLambda
+	}
+	return lg
+}
+
+// powInline reports whether math.Pow is the portable Go implementation
+// that lrPow replays; s390x substitutes an assembly routine.
+const powInline = runtime.GOARCH != "s390x"
+
+// lrPow returns math.Pow(x, y) bit for bit. For x ∈ [2^−200, 1) and
+// y ∈ [1, 3] it replays the portable math.pow without its special-case
+// ladder, Modf, Frexp and Ldexp: the same yi/yf split and yf > 0.5 carry,
+// the same Exp(yf·Log(x)), and the same multiplication order as the
+// squaring loop. Pow scales x by a power of two before multiplying and
+// scales back after; that is exact while every intermediate stays normal,
+// which x ≥ 2^−200 guarantees: with yf ∈ [−1/2, 1/2], every product and the
+// result lie in [2^−600, 2^100]. Every other input goes to math.Pow.
+func lrPow(x, y float64) float64 {
+	if !powInline || !(x >= 0x1p-200 && x < 1 && y >= 1 && y <= 3) {
+		return math.Pow(x, y)
+	}
+	yi := math.Trunc(y)
+	yf := y - yi // exact for y ≥ 1
+	if yf > 0.5 {
+		yf--
+		yi++
+	}
+	a := 1.0
+	if yf != 0 {
+		a = math.Exp(yf * math.Log(x))
+	}
+	// yi ∈ {1, 2, 3}: the squaring loop multiplies a by x for bit 0 and by
+	// x·x for bit 1, in that order.
+	switch {
+	case yi < 2:
+		return a * x
+	case yi < 3:
+		return a * (x * x)
+	default:
+		return a * x * (x * x)
 	}
 }
 

@@ -180,7 +180,6 @@ func (t *Session) grow(numNets int) {
 		ns[n] = tail
 	}
 	s.netStart = ns
-	s.pi = growF64(s.pi, numNets)
 	s.sqrtPi = growF64(s.sqrtPi, numNets)
 	s.sqrtPiX = growF64(s.sqrtPiX, numNets)
 	s.netTDM = growF64(s.netTDM, numNets)
