@@ -3,6 +3,7 @@ package coord
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -845,5 +846,57 @@ func TestRendezvousPlacement(t *testing.T) {
 		if prev == "c:1" && b.name == "c:1" {
 			t.Fatalf("key %s still placed on the open backend", key)
 		}
+	}
+}
+
+// TestCoordinatorRetiredQueueParam pins the wire compatibility of the
+// retired queue parameter: the old engine names are accepted and select
+// nothing, so a submission carrying one hits the cache entry of the same
+// submission without it, and an unknown name is still a 400.
+func TestCoordinatorRetiredQueueParam(t *testing.T) {
+	in := testInstance(t)
+	f := startFleet(t, 1, serve.Config{Workers: 1})
+	_, c := startCoord(t, f, nil)
+	ctx := context.Background()
+
+	st, err := c.Submit(ctx, serve.SubmitRequest{Instance: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final, err := c.Wait(ctx, st.ID); err != nil || final.State != serve.StateDone {
+		t.Fatalf("plain submission: %v, %+v", err, final)
+	}
+	var body bytes.Buffer
+	if err := problem.WriteInstance(&body, in); err != nil {
+		t.Fatal(err)
+	}
+	post := func(queue string) *http.Response {
+		t.Helper()
+		resp, err := http.Post(c.BaseURL+"/v1/jobs?queue="+queue, "text/plain", bytes.NewReader(body.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	for _, queue := range []string{"heap", "bucket", "auto"} {
+		resp := post(queue)
+		var st serve.JobStatus
+		err := json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("queue=%s: status %d, decode %v", queue, resp.StatusCode, err)
+		}
+		final, err := c.Wait(ctx, st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.State != serve.StateDone || final.Backend != "cache" {
+			t.Fatalf("queue=%s: state %s backend %q, want done from \"cache\"", queue, final.State, final.Backend)
+		}
+	}
+	resp := post("fibonacci")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("queue=fibonacci: status %d, want 400", resp.StatusCode)
 	}
 }

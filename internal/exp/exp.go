@@ -41,10 +41,6 @@ type Config struct {
 	RipUpRounds int
 	// Workers forwards to both pipeline stages (0 = sequential).
 	Workers int
-	// Queue selects the routing Dijkstra engine by wire name ("" = auto);
-	// it forwards to Options.Queue, so both engines produce identical
-	// solutions and the knob only moves wall time.
-	Queue string
 	// Partitions forwards to Options.Partitions (0 = auto, 1 = off).
 	Partitions int
 	// Progress, when non-nil, receives one line per completed benchmark
@@ -126,18 +122,8 @@ func (c Config) solveOptions(bench string) tdmroute.Options {
 		Route:      tdmroute.RouteOptions{RipUpRounds: c.RipUpRounds},
 		TDM:        c.tdmOptions(bench),
 		Workers:    c.Workers,
-		Queue:      c.Queue,
 		Partitions: c.Partitions,
 	}
-}
-
-// queueName is the resolved wire name of the configured queue engine, for
-// the telemetry rows ("" resolves to "auto").
-func (c Config) queueName() string {
-	if c.Queue == "" {
-		return "auto"
-	}
-	return c.Queue
 }
 
 // TableI returns the benchmark statistics rows.

@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -61,5 +62,27 @@ func TestPerfShape(t *testing.T) {
 	}
 	if len(decoded.Rows) != len(rep.Rows) {
 		t.Fatalf("round-trip lost rows: %d vs %d", len(decoded.Rows), len(rep.Rows))
+	}
+}
+
+// TestReadPerfJSONLegacyQueue reads a row written when the routing engine
+// was still selectable: the retired "queue" field is ignored, the other
+// fields survive, and a row without "scale" inherits the report's.
+func TestReadPerfJSONLegacyQueue(t *testing.T) {
+	const legacy = `{"scale": 0.2, "workers": 1, "rounds": 1, "reps": 1, "rows": [
+  {"bench": "synopsys01", "workers": 1, "queue": "heap", "partitions": 3,
+   "rounds_requested": 1, "wall_ms": 12.5, "gtr_max": 46,
+   "solution_sha256": "cde72f23c6c51ce7b4eeb1de87308cc6ee5caa654b712554af2cc0aa45d23bc1"}]}`
+	rep, err := ReadPerfJSON(strings.NewReader(legacy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Rows) != 1 {
+		t.Fatalf("rows = %d, want 1", len(rep.Rows))
+	}
+	r := rep.Rows[0]
+	if r.Bench != "synopsys01" || r.Scale != 0.2 || r.Partitions != 3 || r.WallMS != 12.5 || r.GTRMax != 46 ||
+		r.SolutionSHA256 != "cde72f23c6c51ce7b4eeb1de87308cc6ee5caa654b712554af2cc0aa45d23bc1" {
+		t.Fatalf("legacy row decoded as %+v", r)
 	}
 }

@@ -10,11 +10,11 @@ import (
 // that reaches a vertex at exactly its best-known cost lowers the recorded
 // predecessor edge to the smaller id. The paths it reconstructs are a pure
 // function of (graph, costs, src, dst) — independent of queue discipline —
-// so both production engines (binary heap and radix queue), with all their
+// so the production radix engine and the binary-heap oracle, with all their
 // pruning, must reproduce it byte for byte. Routing results (and therefore
 // solution files) depend on which of two equal-cost paths wins, which makes
 // this the byte-identity contract of the whole routing stage.
-func referenceShortestPath(d *Dijkstra, src, dst int, costFn EdgeCostFunc, pathBuf []int) ([]int, Cost, bool) {
+func referenceShortestPath(d *heapOracle, src, dst int, costFn EdgeCostFunc, pathBuf []int) ([]int, Cost, bool) {
 	if src == dst {
 		return pathBuf, Cost{}, true
 	}
@@ -53,22 +53,18 @@ func referenceShortestPath(d *Dijkstra, src, dst int, costFn EdgeCostFunc, pathB
 		return pathBuf, InfCost, false
 	}
 
-	total := d.dist[dst]
-	start := len(pathBuf)
-	for v := dst; v != src; {
-		eid := d.prevEdge[v]
-		pathBuf = append(pathBuf, int(eid))
-		v = d.g.Edge(int(eid)).Other(v)
-	}
-	for i, j := start, len(pathBuf)-1; i < j; i, j = i+1, j-1 {
-		pathBuf[i], pathBuf[j] = pathBuf[j], pathBuf[i]
-	}
-	return pathBuf, total, true
+	return d.path(src, dst, pathBuf), d.dist[dst], true
 }
 
-// checkAgainstReference drives one production engine and the reference loop
-// over the same query and demands identical paths — not merely equal costs.
-func checkAgainstReference(t *testing.T, label string, eng, ref *Dijkstra, src, dst int, costFn EdgeCostFunc) {
+// pathSearcher is the ShortestPath contract shared by the radix engine and
+// the heap oracle.
+type pathSearcher interface {
+	ShortestPath(src, dst int, costFn EdgeCostFunc, pathBuf []int) ([]int, Cost, bool)
+}
+
+// checkAgainstReference drives one pruned engine and the reference loop over
+// the same query and demands identical paths — not merely equal costs.
+func checkAgainstReference(t *testing.T, label string, eng pathSearcher, ref *heapOracle, src, dst int, costFn EdgeCostFunc) {
 	t.Helper()
 	gotPath, gotCost, gotOK := eng.ShortestPath(src, dst, costFn, nil)
 	wantPath, wantCost, wantOK := referenceShortestPath(ref, src, dst, costFn, nil)
@@ -87,9 +83,10 @@ func checkAgainstReference(t *testing.T, label string, eng, ref *Dijkstra, src, 
 	}
 }
 
-// TestDijkstraPruneMatchesReference drives both pruned engines and the
-// reference loop over the same random graphs with tiny cost ranges (so
-// equal-cost ties are everywhere) and demands identical paths.
+// TestDijkstraPruneMatchesReference drives the pruned radix engine, the
+// pruned heap oracle and the exhaustive reference loop over the same random
+// graphs with tiny cost ranges (so equal-cost ties are everywhere) and
+// demands identical paths.
 func TestDijkstraPruneMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 40; trial++ {
@@ -100,9 +97,9 @@ func TestDijkstraPruneMatchesReference(t *testing.T) {
 			usage[i] = uint64(rng.Intn(3)) // small range: force ties
 		}
 		costFn := func(e int) uint64 { return usage[e] }
-		heap := NewDijkstra(g)
-		radix := NewDijkstraQueue(g, QueueRadix)
-		ref := NewDijkstra(g)
+		heap := newHeapOracle(g)
+		radix := NewDijkstra(g)
+		ref := newHeapOracle(g)
 		for q := 0; q < 60; q++ {
 			src, dst := rng.Intn(n), rng.Intn(n)
 			checkAgainstReference(t, "heap", heap, ref, src, dst, costFn)
@@ -117,9 +114,9 @@ func TestDijkstraGridPruneMatchesReference(t *testing.T) {
 	g := grid(12, 12)
 	usage := make([]uint64, g.NumEdges())
 	costFn := func(e int) uint64 { return usage[e] }
-	heap := NewDijkstra(g)
-	radix := NewDijkstraQueue(g, QueueRadix)
-	ref := NewDijkstra(g)
+	heap := newHeapOracle(g)
+	radix := NewDijkstra(g)
+	ref := newHeapOracle(g)
 	n := g.NumVertices()
 	rng := rand.New(rand.NewSource(34))
 	for q := 0; q < 200; q++ {
@@ -130,8 +127,8 @@ func TestDijkstraGridPruneMatchesReference(t *testing.T) {
 }
 
 // TestDijkstraSearchZeroAlloc pins the steady state of the search loop at
-// zero allocations per query, for both queue engines: the engine's buffers
-// are grown once and then reused for the life of the session.
+// zero allocations per query: the engine's buffers are grown once and then
+// reused for the life of the session.
 func TestDijkstraSearchZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race")
@@ -139,24 +136,19 @@ func TestDijkstraSearchZeroAlloc(t *testing.T) {
 	g := grid(20, 20)
 	usage := make([]uint64, g.NumEdges())
 	costFn := func(e int) uint64 { return usage[e] }
-	for _, tc := range []struct {
-		name  string
-		queue QueueKind
-	}{{"heap", QueueHeap}, {"radix", QueueRadix}} {
-		t.Run(tc.name, func(t *testing.T) {
-			d := NewDijkstraQueue(g, tc.queue)
-			buf := make([]int, 0, 256)
-			dst := g.NumVertices() - 1
-			// Warm-up queries grow the queue and touched list to steady state.
-			for i := 0; i < 4; i++ {
-				buf, _, _ = d.ShortestPath(0, dst, costFn, buf[:0])
-			}
-			allocs := testing.AllocsPerRun(50, func() {
-				buf, _, _ = d.ShortestPath(0, dst, costFn, buf[:0])
-			})
-			if allocs != 0 {
-				t.Fatalf("ShortestPath steady state allocates %v objects per run, want 0", allocs)
-			}
+	t.Run("radix", func(t *testing.T) {
+		d := NewDijkstra(g)
+		buf := make([]int, 0, 256)
+		dst := g.NumVertices() - 1
+		// Warm-up queries grow the queue and touched list to steady state.
+		for i := 0; i < 4; i++ {
+			buf, _, _ = d.ShortestPath(0, dst, costFn, buf[:0])
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			buf, _, _ = d.ShortestPath(0, dst, costFn, buf[:0])
 		})
-	}
+		if allocs != 0 {
+			t.Fatalf("ShortestPath steady state allocates %v objects per run, want 0", allocs)
+		}
+	})
 }

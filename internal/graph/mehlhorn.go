@@ -157,3 +157,83 @@ func foldCost(c Cost) int64 {
 	}
 	return int64(c.Primary)<<hopBits | int64(c.Hops&(1<<hopBits-1))
 }
+
+type dijkstraItem struct {
+	vertex int
+	cost   Cost
+}
+
+// dijkstraHeap is the hand-rolled typed binary min-heap behind the Voronoi
+// search of MehlhornSolver. container/heap would box every dijkstraItem into
+// an interface{}, and that allocation dominates a router issuing hundreds of
+// thousands of searches. Unlike Dijkstra.ShortestPath, the Voronoi search
+// resolves equal-cost ties by pop order, so swapping this heap for another
+// queue could change the trees of the SteinerMehlhorn configurations.
+type dijkstraHeap []dijkstraItem
+
+func (h *dijkstraHeap) push(it dijkstraItem) {
+	*h = append(*h, it)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !s[i].cost.Less(s[parent].cost) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+func (h *dijkstraHeap) pop() dijkstraItem {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	*h = s
+	i := 0
+	for {
+		l, rgt := 2*i+1, 2*i+2
+		smallest := i
+		if l < last && s[l].cost.Less(s[smallest].cost) {
+			smallest = l
+		}
+		if rgt < last && s[rgt].cost.Less(s[smallest].cost) {
+			smallest = rgt
+		}
+		if smallest == i {
+			break
+		}
+		s[i], s[smallest] = s[smallest], s[i]
+		i = smallest
+	}
+	return top
+}
+
+// init re-establishes the heap property over arbitrary contents.
+func (h dijkstraHeap) init() {
+	n := len(h)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.siftDown(i)
+	}
+}
+
+func (h dijkstraHeap) siftDown(i int) {
+	n := len(h)
+	for {
+		l, rgt := 2*i+1, 2*i+2
+		smallest := i
+		if l < n && h[l].cost.Less(h[smallest].cost) {
+			smallest = l
+		}
+		if rgt < n && h[rgt].cost.Less(h[smallest].cost) {
+			smallest = rgt
+		}
+		if smallest == i {
+			return
+		}
+		h[i], h[smallest] = h[smallest], h[i]
+		i = smallest
+	}
+}

@@ -41,12 +41,14 @@ func newRadixQueue(n int) *radixQueue {
 
 // pack folds c into a single key preserving the lexicographic (Primary,
 // Hops) order. Costs beyond the representable range cannot occur in the
-// router (Primary is bounded by nets × path length ≪ 2^(64-hopBits)); a
-// caller feeding adversarial costs is a programming error, not a silent
-// reordering.
+// routers: Primary is bounded by nets × path length for the congestion
+// router, and by at most (4·nets)² × path length for the baseline routers'
+// squared and PathFinder costs, both ≪ 2^(64-hopBits) for any instance that
+// fits in memory. A caller feeding adversarial costs is a programming error,
+// not a silent reordering.
 func (q *radixQueue) pack(c Cost) uint64 {
 	if c.Primary > q.maxPri {
-		panic("graph: radix queue primary cost overflows packed key; use QueueHeap for costs this large")
+		panic("graph: radix queue primary cost overflows packed key")
 	}
 	return c.Primary<<q.hopBits | uint64(c.Hops)
 }

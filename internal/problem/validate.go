@@ -90,6 +90,7 @@ func ValidateRouting(in *Instance, routes Routing) error {
 		return fmt.Errorf("routing has %d nets, instance has %d", len(routes), len(in.Nets))
 	}
 	ne := in.G.NumEdges()
+	tc := newTreeCheck(in.G)
 	for n, edges := range routes {
 		terms := in.Nets[n].Terminals
 		if len(terms) <= 1 {
@@ -101,29 +102,91 @@ func ValidateRouting(in *Instance, routes Routing) error {
 		if len(edges) == 0 {
 			return fmt.Errorf("net %d: multi-terminal net is unrouted", n)
 		}
-		dsu := graph.NewDSU(in.G.NumVertices())
-		seen := make(map[int]bool, len(edges))
+		tc.begin(len(edges), len(terms))
 		for _, e := range edges {
 			if e < 0 || e >= ne {
 				return fmt.Errorf("net %d: edge id %d out of range", n, e)
 			}
-			if seen[e] {
+			if !tc.addEdge(e) {
 				return fmt.Errorf("net %d: duplicate edge %d", n, e)
 			}
-			seen[e] = true
 			ed := in.G.Edge(e)
-			if !dsu.Union(ed.U, ed.V) {
+			if !tc.union(ed.U, ed.V) {
 				return fmt.Errorf("net %d: route contains a cycle at edge %d", n, e)
 			}
 		}
 		for _, t := range terms[1:] {
-			if !dsu.Same(terms[0], t) {
+			if !tc.same(terms[0], t) {
 				return fmt.Errorf("net %d: terminal %d not connected by route", n, t)
 			}
 		}
 	}
 	return nil
 }
+
+// treeCheck is the per-net scratch of the route-tree checks, shared by all
+// nets of one routing so that a check allocates O(V+E) once rather than a
+// vertex-sized union-find and an edge set per net. Entries are tagged with
+// the current net's stamp, so nothing is cleared between nets, and the
+// union-find runs over net-local vertex ids, so resetting it costs only the
+// vertices one net can touch.
+type treeCheck struct {
+	stamp    int
+	edgeMark []int // stamp of the net whose route last contained the edge
+	vertMark []int // stamp of the net that last gave the vertex a local id
+	local    []int // the vertex's local id within that net
+	next     int   // next unused local id
+	dsu      graph.DSU
+}
+
+func newTreeCheck(g *graph.Graph) *treeCheck {
+	tc := &treeCheck{
+		edgeMark: make([]int, g.NumEdges()),
+		vertMark: make([]int, g.NumVertices()),
+		local:    make([]int, g.NumVertices()),
+	}
+	tc.dsu.Reset(g.NumVertices()) // full size up front: later resets reuse it
+	return tc
+}
+
+// begin starts the next net, whose route has edges edges and whose net has
+// terms terminals.
+func (tc *treeCheck) begin(edges, terms int) {
+	tc.stamp++
+	tc.next = 0
+	ids := len(tc.vertMark)
+	if k := 2*edges + terms; k < ids {
+		ids = k
+	}
+	tc.dsu.Reset(ids)
+}
+
+// addEdge records edge e in the current route and reports false when the
+// route already contained it.
+func (tc *treeCheck) addEdge(e int) bool {
+	if tc.edgeMark[e] == tc.stamp {
+		return false
+	}
+	tc.edgeMark[e] = tc.stamp
+	return true
+}
+
+// id returns v's local id in the current net, assigning the next one on
+// first use.
+func (tc *treeCheck) id(v int) int {
+	if tc.vertMark[v] != tc.stamp {
+		tc.vertMark[v] = tc.stamp
+		tc.local[v] = tc.next
+		tc.next++
+	}
+	return tc.local[v]
+}
+
+// union joins u and v and reports false when they were already connected.
+func (tc *treeCheck) union(u, v int) bool { return tc.dsu.Union(tc.id(u), tc.id(v)) }
+
+// same reports whether the current route connects u and v.
+func (tc *treeCheck) same(u, v int) bool { return tc.dsu.Same(tc.id(u), tc.id(v)) }
 
 // ValidateSolution checks routing legality plus the TDM ratio constraints of
 // Sec. II-A: every ratio a positive even integer, and on every edge the

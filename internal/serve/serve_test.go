@@ -3,8 +3,10 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -509,5 +511,62 @@ func TestServerSubmitValidation(t *testing.T) {
 	}
 	if _, err := c.Wait(ctx, st.ID); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServerRetiredQueueParam pins the wire compatibility of the retired
+// queue parameter: "auto", "heap" and "bucket" are accepted and ignored —
+// every one solves to the bytes of a submission without the parameter —
+// while an unknown name is still rejected with 400.
+func TestServerRetiredQueueParam(t *testing.T) {
+	in := testInstance(t)
+	_, c := startServer(t, Config{Workers: 1})
+	ctx := context.Background()
+
+	solve := func(id string) []byte {
+		t.Helper()
+		if final, err := c.Wait(ctx, id); err != nil || final.State != StateDone {
+			t.Fatalf("job %s: %v, %+v", id, err, final)
+		}
+		text, err := c.SolutionBytes(ctx, id, FormatText)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return text
+	}
+	st, err := c.Submit(ctx, SubmitRequest{Instance: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := solve(st.ID)
+
+	var body bytes.Buffer
+	if err := problem.WriteInstance(&body, in); err != nil {
+		t.Fatal(err)
+	}
+	post := func(queue string) *http.Response {
+		t.Helper()
+		resp, err := c.http().Post(c.BaseURL+"/v1/jobs?queue="+queue, "text/plain", bytes.NewReader(body.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	for _, queue := range []string{"auto", "heap", "bucket"} {
+		resp := post(queue)
+		var st JobStatus
+		err := json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("queue=%s: status %d, decode %v", queue, resp.StatusCode, err)
+		}
+		if got := solve(st.ID); !bytes.Equal(got, want) {
+			t.Fatalf("queue=%s: solution differs from the submission without the parameter", queue)
+		}
+	}
+	resp := post("fibonacci")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("queue=fibonacci: status %d, want 400", resp.StatusCode)
 	}
 }

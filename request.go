@@ -295,8 +295,8 @@ func runAssignOnly(ctx context.Context, req Request) (*Response, error) {
 // callers (CLI flag handling, the serve layer's 400 responses) can report
 // bad options without string-matching the message.
 type OptionError struct {
-	// Field is the wire name of the offending option ("queue",
-	// "partitions", ...).
+	// Field is the wire name of the offending option ("partitions",
+	// ...).
 	Field string
 	// Value is the offending value, rendered as text.
 	Value string
@@ -309,18 +309,11 @@ func (e *OptionError) Error() string {
 }
 
 // normalized validates and canonicalizes the options once, at the Run
-// boundary: the pipeline-level Queue/Partitions knobs fan into the routing
+// boundary: the pipeline-level Partitions knob fans into the routing
 // stage, non-positive worker counts mean sequential, and the pipeline-level
 // worker knob fans into both stages (withWorkers). Validation failures are
 // *OptionError values.
 func (o Options) normalized() (Options, error) {
-	q, err := ParseQueue(o.Queue)
-	if err != nil {
-		return o, err
-	}
-	if o.Route.Queue == QueueAuto {
-		o.Route.Queue = q
-	}
 	if o.Partitions < 0 {
 		return o, &OptionError{Field: "partitions", Value: strconv.Itoa(o.Partitions),
 			Msg: "want >= 0 (0 selects auto, 1 disables partitioned routing)"}

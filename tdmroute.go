@@ -65,9 +65,6 @@ type (
 
 	// RouteOptions tunes the routing stage (Sec. III).
 	RouteOptions = route.Options
-	// QueueKind selects the Dijkstra priority-queue engine of the routing
-	// stage (RouteOptions.Queue).
-	QueueKind = route.QueueKind
 	// RouteStats reports routing-stage work.
 	RouteStats = route.Stats
 	// TDMOptions tunes the TDM assignment stage (Sec. IV).
@@ -86,31 +83,6 @@ type (
 // the paper's objective).
 func AnalyzeTiming(in *Instance, sol *Solution, model TimingModel) (*TimingReport, error) {
 	return timing.Analyze(in, sol, model)
-}
-
-// Queue engines for RouteOptions.Queue / Options.Queue.
-const (
-	// QueueAuto selects the fastest engine (currently the bucket queue).
-	QueueAuto = route.QueueAuto
-	// QueueHeap is the classic binary heap.
-	QueueHeap = route.QueueHeap
-	// QueueBucket is the monotone bucket (radix) queue for integer costs.
-	QueueBucket = route.QueueBucket
-)
-
-// ParseQueue maps the wire name of a queue engine to its QueueKind. The
-// accepted names are "auto" (or empty), "heap", and "bucket"; anything else
-// is an *OptionError.
-func ParseQueue(s string) (QueueKind, error) {
-	switch s {
-	case "", "auto":
-		return QueueAuto, nil
-	case "heap":
-		return QueueHeap, nil
-	case "bucket":
-		return QueueBucket, nil
-	}
-	return 0, &OptionError{Field: "queue", Value: s, Msg: `want "auto", "heap", or "bucket"`}
 }
 
 // Legalization domains for TDMOptions.Legal.
@@ -177,13 +149,6 @@ type Options struct {
 	// fixed worker count; see RouteOptions.Workers for the routing
 	// wave-determinism contract.
 	Workers int
-	// Queue selects the routing stage's Dijkstra engine by wire name:
-	// "auto" (or empty), "heap", or "bucket". It fills Route.Queue when that
-	// is unset; both engines produce byte-identical routings (the canonical
-	// equal-cost tie-break makes the shortest path independent of queue pop
-	// order), so this is purely a performance knob. Anything else fails
-	// request validation with an *OptionError.
-	Queue string
 	// Partitions is the spatial region count of partitioned initial routing.
 	// It fills Route.Partitions when that is zero. 0 selects auto (currently
 	// a single region, i.e. the classic wave path — partitioning changes
