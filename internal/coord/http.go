@@ -56,7 +56,7 @@ func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, co.cfg.MaxBodyBytes)
 	sub, err := serve.ParseSubmit(r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		serve.RejectBody(w, "", err)
 		return
 	}
 	j := newCJob(sub)
@@ -122,7 +122,7 @@ func (co *Coordinator) handleDelta(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, co.cfg.MaxBodyBytes)
 	var doc serve.DeltaDoc
 	if err := json.NewDecoder(r.Body).Decode(&doc); err != nil {
-		httpError(w, http.StatusBadRequest, "bad delta body: %v", err)
+		serve.RejectBody(w, "bad delta body: ", err)
 		return
 	}
 	var deadline time.Duration

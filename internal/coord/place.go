@@ -17,10 +17,11 @@ import (
 //
 // What the key deliberately excludes defines what "identical" means:
 //
-//   - name: a label, never part of the solved problem. The text
-//     serialization leads with a "# instance <name>" comment, so that header
-//     line is stripped before hashing — otherwise the same instance uploaded
-//     under two names (or renamed by the server's default) would never hit.
+//   - name: a label, never part of the solved problem. The instance is
+//     serialized with the name cleared and the "# instance" header line
+//     stripped before hashing — otherwise the same instance uploaded under
+//     two names (or renamed by the server's default) would never hit, and a
+//     name carrying a newline would put its tail into the hashed text.
 //   - deadline: an upper bound on wall time. A deadline only changes the
 //     result by degrading it, and degraded results are never cached, so two
 //     submissions differing only in deadline share a (complete) result.
@@ -40,7 +41,9 @@ func cacheKey(sub serve.SubmitRequest) string {
 	// serialization cannot fail on a validated instance and a hash.Hash
 	// never errors on Write.
 	var buf bytes.Buffer
-	problem.WriteInstance(&buf, sub.Instance)
+	anon := *sub.Instance
+	anon.Name = ""
+	problem.WriteInstance(&buf, &anon)
 	body := buf.Bytes()
 	if bytes.HasPrefix(body, []byte("# instance ")) {
 		if nl := bytes.IndexByte(body, '\n'); nl >= 0 {

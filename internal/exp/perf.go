@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -132,6 +133,14 @@ func RowFromResponse(name string, res *tdmroute.Response, wall time.Duration) (P
 	if err := problem.WriteSolution(&buf, res.Solution); err != nil {
 		return PerfRow{}, err
 	}
+	return RowFromText(name, res, wall, buf.Bytes()), nil
+}
+
+// RowFromText is RowFromResponse for a caller that already holds the
+// solution's contest text (problem.WriteSolution of res.Solution): the
+// digest is taken over those bytes.
+func RowFromText(name string, res *tdmroute.Response, wall time.Duration, text []byte) PerfRow {
+	digest := sha256.Sum256(text)
 	return PerfRow{
 		Bench:          name,
 		RoundsRun:      res.RoundsRun,
@@ -145,8 +154,8 @@ func RowFromResponse(name string, res *tdmroute.Response, wall time.Duration) (P
 		LRIterations:   res.Report.Iterations,
 		RippedNets:     res.RouteStats.RippedNets,
 		RevertedRounds: res.RouteStats.RevertedRound,
-		SolutionSHA256: fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())),
-	}, nil
+		SolutionSHA256: hex.EncodeToString(digest[:]),
+	}
 }
 
 // ms converts a duration to fractional milliseconds for the JSON rows.

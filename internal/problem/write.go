@@ -1,7 +1,6 @@
 package problem
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -10,31 +9,21 @@ import (
 
 // WriteInstance emits in in the text format accepted by ParseInstance.
 func WriteInstance(w io.Writer, in *Instance) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	fmt.Fprintf(bw, "# instance %s\n", in.Name)
-	fmt.Fprintf(bw, "%d %d %d %d\n", in.G.NumVertices(), in.G.NumEdges(), len(in.Nets), len(in.Groups))
+	tw := newTextWriter(w)
+	tw.buf = append(tw.buf, "# instance "...)
+	tw.buf = append(tw.buf, in.Name...)
+	tw.buf = append(tw.buf, '\n')
+	tw.ints(in.G.NumVertices(), in.G.NumEdges(), len(in.Nets), len(in.Groups))
 	for _, e := range in.G.Edges() {
-		writeInts(bw, e.U, e.V)
+		tw.ints(e.U, e.V)
 	}
 	for i := range in.Nets {
-		terms := in.Nets[i].Terminals
-		bw.WriteString(strconv.Itoa(len(terms)))
-		for _, t := range terms {
-			bw.WriteByte(' ')
-			bw.WriteString(strconv.Itoa(t))
-		}
-		bw.WriteByte('\n')
+		tw.list(in.Nets[i].Terminals)
 	}
 	for gi := range in.Groups {
-		members := in.Groups[gi].Nets
-		bw.WriteString(strconv.Itoa(len(members)))
-		for _, n := range members {
-			bw.WriteByte(' ')
-			bw.WriteString(strconv.Itoa(n))
-		}
-		bw.WriteByte('\n')
+		tw.list(in.Groups[gi].Nets)
 	}
-	return bw.Flush()
+	return tw.flush()
 }
 
 // SaveInstance writes in to path.
@@ -62,19 +51,19 @@ func SaveInstance(path string, in *Instance) error {
 
 // WriteSolution emits sol in the text format accepted by ParseSolution.
 func WriteSolution(w io.Writer, sol *Solution) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	fmt.Fprintf(bw, "%d\n", len(sol.Routes))
+	tw := newTextWriter(w)
+	tw.ints(len(sol.Routes))
 	for n, edges := range sol.Routes {
-		bw.WriteString(strconv.Itoa(len(edges)))
+		tw.int(int64(len(edges)))
 		for k, e := range edges {
-			bw.WriteByte(' ')
-			bw.WriteString(strconv.Itoa(e))
-			bw.WriteByte(' ')
-			bw.WriteString(strconv.FormatInt(sol.Assign.Ratios[n][k], 10))
+			tw.buf = append(tw.buf, ' ')
+			tw.int(int64(e))
+			tw.buf = append(tw.buf, ' ')
+			tw.int(sol.Assign.Ratios[n][k])
 		}
-		bw.WriteByte('\n')
+		tw.endLine()
 	}
-	return bw.Flush()
+	return tw.flush()
 }
 
 // SaveSolution writes sol to path.
@@ -110,6 +99,13 @@ func ParseSolution(r io.Reader, numEdges int) (*Solution, error) {
 		Routes: make(Routing, 0, capHint(nn)),
 		Assign: Assignment{Ratios: make([][]int64, 0, capHint(nn))},
 	}
+	// Edge lists and ratio lists are carved out of shared slabs. A repeat
+	// is an edge already stamped with this net's number; the stamps cover
+	// the largest edge id seen so far, not numEdges, so the allocation
+	// follows the data.
+	var edges slab[int]
+	var ratios slab[int64]
+	var stamp []int32
 	for n := 0; n < nn; n++ {
 		k, err := tr.Int()
 		if err != nil {
@@ -118,9 +114,6 @@ func ParseSolution(r io.Reader, numEdges int) (*Solution, error) {
 		if k < 0 || k > numEdges {
 			return nil, fmt.Errorf("problem: solution net %d: %w", n, tr.fail("edge count %d outside [0,%d]", k, numEdges))
 		}
-		edges := make([]int, k)
-		ratios := make([]int64, k)
-		seen := make(map[int]bool, capHint(k))
 		for j := 0; j < k; j++ {
 			e, err := tr.Int()
 			if err != nil {
@@ -129,10 +122,13 @@ func ParseSolution(r io.Reader, numEdges int) (*Solution, error) {
 			if e < 0 || e >= numEdges {
 				return nil, fmt.Errorf("problem: solution net %d: %w", n, tr.fail("edge id %d out of range", e))
 			}
-			if seen[e] {
+			if e >= len(stamp) {
+				stamp = append(stamp, make([]int32, min(max(e+1, 2*len(stamp)), numEdges)-len(stamp))...)
+			}
+			if stamp[e] == int32(n+1) {
 				return nil, fmt.Errorf("problem: solution net %d: %w", n, tr.fail("duplicate edge id %d", e))
 			}
-			seen[e] = true
+			stamp[e] = int32(n + 1)
 			rr, err := tr.Int()
 			if err != nil {
 				return nil, fmt.Errorf("problem: solution net %d ratio %d: %w", n, j, err)
@@ -140,11 +136,11 @@ func ParseSolution(r io.Reader, numEdges int) (*Solution, error) {
 			if rr < 0 {
 				return nil, fmt.Errorf("problem: solution net %d: %w", n, tr.fail("negative ratio %d", rr))
 			}
-			edges[j] = e
-			ratios[j] = int64(rr)
+			edges.push(e)
+			ratios.push(int64(rr))
 		}
-		sol.Routes = append(sol.Routes, edges)
-		sol.Assign.Ratios = append(sol.Assign.Ratios, ratios)
+		sol.Routes = append(sol.Routes, edges.cut())
+		sol.Assign.Ratios = append(sol.Assign.Ratios, ratios.cut())
 	}
 	return sol, nil
 }
@@ -180,9 +176,60 @@ func ParseRouting(r io.Reader, numEdges int) (Routing, error) {
 	return sol.Routes, nil
 }
 
-func writeInts(bw *bufio.Writer, a, b int) {
-	bw.WriteString(strconv.Itoa(a))
-	bw.WriteByte(' ')
-	bw.WriteString(strconv.Itoa(b))
-	bw.WriteByte('\n')
+// textWriter renders the text formats: integers are appended to one byte
+// buffer, which is handed to the underlying writer whenever a line ends
+// past flushAt bytes.
+type textWriter struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+const flushAt = 64 << 10
+
+func newTextWriter(w io.Writer) *textWriter {
+	return &textWriter{w: w, buf: make([]byte, 0, flushAt+4<<10)}
+}
+
+func (tw *textWriter) int(v int64) { tw.buf = strconv.AppendInt(tw.buf, v, 10) }
+
+// ints writes one line of space-separated values.
+func (tw *textWriter) ints(vs ...int) {
+	for i, v := range vs {
+		if i > 0 {
+			tw.buf = append(tw.buf, ' ')
+		}
+		tw.int(int64(v))
+	}
+	tw.endLine()
+}
+
+// list writes a counted line: len(vs) followed by the values.
+func (tw *textWriter) list(vs []int) {
+	tw.int(int64(len(vs)))
+	for _, v := range vs {
+		tw.buf = append(tw.buf, ' ')
+		tw.int(int64(v))
+	}
+	tw.endLine()
+}
+
+func (tw *textWriter) endLine() {
+	tw.buf = append(tw.buf, '\n')
+	if len(tw.buf) >= flushAt {
+		tw.flush()
+	}
+}
+
+// flush hands the buffer to w and returns the first write error.
+func (tw *textWriter) flush() error {
+	if tw.err == nil && len(tw.buf) > 0 {
+		var n int
+		n, tw.err = tw.w.Write(tw.buf)
+		if tw.err == nil && n < len(tw.buf) {
+			tw.err = io.ErrShortWrite
+		}
+	}
+	tw.buf = tw.buf[:0]
+	return tw.err
 }

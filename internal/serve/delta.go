@@ -80,7 +80,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var doc DeltaDoc
 	if err := json.NewDecoder(r.Body).Decode(&doc); err != nil {
-		httpError(w, http.StatusBadRequest, "bad delta body: %v", err)
+		RejectBody(w, "bad delta body: ", err)
 		return
 	}
 	var deadline time.Duration

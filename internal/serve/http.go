@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"mime"
@@ -32,6 +33,19 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// RejectBody answers a request whose body failed to decode. A body cut
+// off by http.MaxBytesReader gets 413 naming the limit: the cut otherwise
+// surfaces as whatever parse error it happened to produce. Anything else
+// is a 400 carrying msg and err.
+func RejectBody(w http.ResponseWriter, msg string, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", tooLarge.Limit)
+		return
+	}
+	httpError(w, http.StatusBadRequest, "%s%v", msg, err)
+}
+
 func (s *Server) unavailable(w http.ResponseWriter, reason string) {
 	w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Round(time.Second)/time.Second)))
 	httpError(w, http.StatusServiceUnavailable, "%s", reason)
@@ -53,7 +67,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	sub, err := ParseSubmit(r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		RejectBody(w, "", err)
 		return
 	}
 	req, deadline := s.resolve(sub)
@@ -361,9 +375,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSolution serves the finished job's solution in the format named by
-// ?format= (text, the default; json; binary). Degraded solutions are legal
-// best-so-far incumbents and carry an X-Tdmroute-Degraded header naming the
-// interrupted stage.
+// ?format= (text, the default; json; binary). The text format is the bytes
+// rendered at finish, whose SHA-256 the job's telemetry reports; json and
+// binary are rendered from the solution on each request. Degraded
+// solutions are legal best-so-far incumbents and carry an
+// X-Tdmroute-Degraded header naming the interrupted stage.
 func (s *Server) handleSolution(w http.ResponseWriter, r *http.Request) {
 	j := s.jobFor(w, r)
 	if j == nil {
@@ -374,7 +390,7 @@ func (s *Server) handleSolution(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "job %s is %s; no solution yet", j.id, state)
 		return
 	}
-	sol, degraded := j.solution()
+	sol, text, degraded := j.solution()
 	if sol == nil {
 		httpError(w, http.StatusConflict, "job %s is %s and produced no solution", j.id, state)
 		return
@@ -382,15 +398,16 @@ func (s *Server) handleSolution(w http.ResponseWriter, r *http.Request) {
 	if degraded != nil {
 		w.Header().Set("X-Tdmroute-Degraded", string(degraded.Stage))
 	}
-	WriteSolutionResponse(w, r.URL.Query().Get("format"), sol, nil)
+	WriteSolutionResponse(w, r.URL.Query().Get("format"), sol, text)
 }
 
 // WriteSolutionResponse renders a finished solution in the format named by
 // ?format= (text, the default; json; binary). When text is non-nil it holds
 // the canonical text serialization already in hand, and the text format
-// serves those bytes verbatim — the coordinator uses this to return the
-// exact bytes its digest check verified, which is what makes its replay
-// guarantee byte-level rather than merely semantic.
+// serves those bytes verbatim — a backend serves the bytes its digest was
+// taken over, and the coordinator the exact bytes its digest check
+// verified, which is what makes its replay guarantee byte-level rather
+// than merely semantic.
 func WriteSolutionResponse(w http.ResponseWriter, format string, sol *tdmroute.Solution, text []byte) {
 	var buf bytes.Buffer
 	var err error

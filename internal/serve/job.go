@@ -113,6 +113,10 @@ type job struct {
 	resp     *tdmroute.Response
 	err      error
 	row      *exp.PerfRow
+	// text is the solution's contest text, rendered once at finish: the
+	// telemetry digest covers exactly these bytes, and text downloads
+	// serve them verbatim.
+	text     []byte
 	started  time.Time
 	finished time.Time
 	events   []Event
@@ -173,7 +177,7 @@ func (j *job) progress(p tdmroute.Progress) {
 
 // finish records the terminal state. It is a no-op when the job already
 // reached one (a queued job cancelled by DELETE and later swept by drain).
-func (j *job) finish(state State, resp *tdmroute.Response, err error, row *exp.PerfRow) bool {
+func (j *job) finish(state State, resp *tdmroute.Response, err error, row *exp.PerfRow, text []byte) bool {
 	j.mu.Lock()
 	if j.state.Terminal() {
 		j.mu.Unlock()
@@ -183,6 +187,7 @@ func (j *job) finish(state State, resp *tdmroute.Response, err error, row *exp.P
 	j.resp = resp
 	j.err = err
 	j.row = row
+	j.text = text
 	j.cancelFn = nil
 	j.finished = time.Now()
 	e := Event{Type: "done", State: state}
@@ -258,14 +263,15 @@ func (j *job) currentState() State {
 	return j.state
 }
 
-// solution returns the job's solution, or nil while it has none.
-func (j *job) solution() (*tdmroute.Solution, *tdmroute.Degraded) {
+// solution returns the job's solution and its contest text, or nil while
+// it has none.
+func (j *job) solution() (*tdmroute.Solution, []byte, *tdmroute.Degraded) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.resp == nil {
-		return nil, nil
+		return nil, nil, nil
 	}
-	return j.resp.Solution, j.resp.Degraded
+	return j.resp.Solution, j.text, j.resp.Degraded
 }
 
 // status snapshots the job for the status endpoint.

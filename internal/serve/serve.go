@@ -29,6 +29,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -40,6 +41,7 @@ import (
 	"tdmroute"
 	"tdmroute/internal/exp"
 	"tdmroute/internal/par"
+	"tdmroute/internal/problem"
 )
 
 // Config tunes the server.
@@ -312,13 +314,23 @@ func (s *Server) finishJob(j *job, resp *tdmroute.Response, err error) {
 			}
 		}
 	}
+	// The solution is rendered to contest text once, here: the telemetry
+	// digest, the text download and a coordinator's verification all see
+	// these bytes. The job keeps them for its lifetime, so they are copied
+	// out of the buffer's doubling slack.
 	var row *exp.PerfRow
-	if resp != nil && resp.Solution != nil && !j.started.IsZero() {
-		if r, rerr := exp.RowFromResponse(j.req.Instance.Name, resp, time.Since(j.started)); rerr == nil {
+	var text []byte
+	if resp != nil && resp.Solution != nil {
+		var buf bytes.Buffer
+		if problem.WriteSolution(&buf, resp.Solution) == nil {
+			text = bytes.Clone(buf.Bytes())
+		}
+		if text != nil && !j.started.IsZero() {
+			r := exp.RowFromText(j.req.Instance.Name, resp, time.Since(j.started), text)
 			row = &r
 		}
 	}
-	if !j.finish(state, resp, err, row) {
+	if !j.finish(state, resp, err, row, text) {
 		return
 	}
 	s.metrics.observe(outcome, resp)
@@ -331,7 +343,7 @@ func (s *Server) finishJob(j *job, resp *tdmroute.Response, err error) {
 
 // reject evicts a queued job during drain.
 func (s *Server) reject(j *job) {
-	if j.finish(StateRejected, nil, errDraining, nil) {
+	if j.finish(StateRejected, nil, errDraining, nil, nil) {
 		s.metrics.observe(outcomeRejected, nil)
 		s.logf("job %s: rejected (draining)", j.id)
 	}

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -80,7 +82,8 @@ func metricValue(t *testing.T, text, name string) float64 {
 // TestServerEndToEnd drives the whole API: a dozen jobs across all three
 // wire formats and all three modes run concurrently on an 8-worker pool,
 // every solution validates, single-mode solutions are byte-identical to a
-// local solve, and the metrics counters reconcile with the submissions.
+// local solve, every text download is the bytes the job's telemetry
+// digest covers, and the metrics counters reconcile with the submissions.
 func TestServerEndToEnd(t *testing.T) {
 	in := testInstance(t)
 	ref, err := tdmroute.Run(context.Background(), tdmroute.Request{Instance: in})
@@ -154,6 +157,14 @@ func TestServerEndToEnd(t *testing.T) {
 		}
 		if got := solutionText(t, sol); !bytes.Equal(got, want) {
 			t.Fatalf("%s (%s): solution bytes diverged from local solve", id, labels[i])
+		}
+		// The text download is the rendering the telemetry digested.
+		text, err := c.SolutionBytes(ctx, id, FormatText)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(text); !bytes.Equal(text, want) || hex.EncodeToString(sum[:]) != st.Telemetry.SolutionSHA256 {
+			t.Fatalf("%s (%s): text download digests to %x, telemetry says %s", id, labels[i], sum, st.Telemetry.SolutionSHA256)
 		}
 	}
 
