@@ -75,7 +75,7 @@ func BenchmarkTableIIRowWinner(b *testing.B) {
 func BenchmarkTableIIRowOurs(b *testing.B) {
 	in := genInstance(b, "synopsys01", benchScale)
 	for i := 0; i < b.N; i++ {
-		if _, err := tdmroute.Solve(in, tdmroute.Options{}); err != nil {
+		if _, err := tdmroute.Run(context.Background(), tdmroute.Request{Instance: in}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -91,7 +91,9 @@ func BenchmarkTableIIRowPlusTA(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := tdmroute.AssignTDM(in, routes, tdmroute.TDMOptions{}); err != nil {
+		if _, err := tdmroute.Run(context.Background(), tdmroute.Request{
+			Instance: in, Mode: tdmroute.ModeAssignOnly, Routing: routes,
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -183,7 +185,7 @@ func BenchmarkStageParse(b *testing.B) {
 
 func BenchmarkStageOutput(b *testing.B) {
 	in := genInstance(b, "synopsys01", benchScale)
-	res, err := tdmroute.Solve(in, tdmroute.Options{})
+	res, err := tdmroute.Run(context.Background(), tdmroute.Request{Instance: in})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -321,7 +323,7 @@ func BenchmarkCompileFlow(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := tdmroute.Solve(in, tdmroute.Options{}); err != nil {
+		if _, err := tdmroute.Run(context.Background(), tdmroute.Request{Instance: in}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -331,7 +333,7 @@ func BenchmarkCompileFlow(b *testing.B) {
 // verification, pin assignment, timing analysis.
 func BenchmarkDownstream(b *testing.B) {
 	in := genInstance(b, "synopsys01", benchScale)
-	res, err := tdmroute.Solve(in, tdmroute.Options{TDM: tdmroute.TDMOptions{Legal: tdmroute.LegalPow2}})
+	res, err := tdmroute.Run(context.Background(), tdmroute.Request{Instance: in, Options: tdmroute.Options{TDM: tdmroute.TDMOptions{Legal: tdmroute.LegalPow2}}})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -298,26 +298,6 @@ func degradedCause(rep Report, ctx context.Context) error {
 	return errCurtailed
 }
 
-// runSingleRetained is runSingle executed through retainable sessions: the
-// same stages over the same state (the session wrappers compute exactly what
-// their cold counterparts compute), with the session and multipliers kept in
-// a WarmHandle for later delta solves.
-func runSingleRetained(ctx context.Context, req Request) (*Response, error) {
-	h := &WarmHandle{
-		in:  req.Instance,
-		opt: req.Options,
-		rs:  route.NewSession(req.Instance, req.Options.Route),
-		ts:  tdm.NewSession(req.Instance),
-	}
-	res, err := solveBaseSession(ctx, req.Instance, req.Options, h.rs, h.ts, &h.lambda)
-	if err != nil {
-		return nil, err
-	}
-	resp := res.response(ModeSingle)
-	resp.Warm = h
-	return resp, nil
-}
-
 // runDelta is the ModeDelta arm of Run: validate the delta against the
 // handle, patch the instance and both sessions, reroute only the affected
 // nets, and re-run the assignment warm-started from the captured

@@ -47,9 +47,11 @@ func ExampleRun() {
 	}
 	gtr, group := tdmroute.Evaluate(in, res.Solution)
 	fmt.Printf("GTR_max = %d (group %d)\n", gtr, group)
+	fmt.Printf("legal: %v\n", tdmroute.ValidateSolution(in, res.Solution) == nil)
 	fmt.Printf("degraded: %v\n", res.Degraded != nil)
 	// Output:
 	// GTR_max = 8 (group 0)
+	// legal: true
 	// degraded: false
 }
 
@@ -74,7 +76,7 @@ func ExampleRun_iterative() {
 
 // ExampleRun_assignOnly assigns TDM ratios on a caller-provided topology —
 // the paper's "+TA" experiment. Only the TDM stage runs; the routing in
-// Request.Routing is taken as fixed.
+// Request.Routing is taken as fixed, once ValidateRouting accepts it.
 func ExampleRun_assignOnly() {
 	in := fig1Instance()
 	routes := tdmroute.Routing{
@@ -95,50 +97,13 @@ func ExampleRun_assignOnly() {
 	// GTR_max = 8, refined from 10
 }
 
-// ExampleSolve runs the full co-optimization pipeline on the Fig. 1(a)
-// system and reports the objective.
-func ExampleSolve() {
-	in := fig1Instance()
-	res, err := tdmroute.Solve(in, tdmroute.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	gtr, group := tdmroute.Evaluate(in, res.Solution)
-	fmt.Printf("GTR_max = %d (group %d)\n", gtr, group)
-	fmt.Printf("legal: %v\n", tdmroute.ValidateSolution(in, res.Solution) == nil)
-	// Output:
-	// GTR_max = 8 (group 0)
-	// legal: true
-}
-
-// ExampleAssignTDM assigns TDM ratios on a caller-provided topology — the
-// paper's "+TA" experiment in miniature.
-func ExampleAssignTDM() {
-	in := fig1Instance()
-	// Hand-made topology: each net routed on a fixed tree.
-	routes := tdmroute.Routing{
-		{1},    // net 0: F2-F3
-		{1, 6}, // net 1: F2-F3 + F2-F5
-		{0, 1}, // net 2: F1-F2-F3
-	}
-	if err := tdmroute.ValidateRouting(in, routes); err != nil {
-		log.Fatal(err)
-	}
-	_, rep, err := tdmroute.AssignTDM(in, routes, tdmroute.TDMOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("GTR_max = %d, refined from %d\n", rep.GTRMax, rep.GTRNoRef)
-	// Output:
-	// GTR_max = 8, refined from 10
-}
-
 // ExampleVerifySchedules materializes the TDM slot tables of a solved
 // system, confirming every edge's ratios are realizable in hardware.
 func ExampleVerifySchedules() {
 	in := fig1Instance()
-	res, err := tdmroute.Solve(in, tdmroute.Options{
-		TDM: tdmroute.TDMOptions{Legal: tdmroute.LegalPow2},
+	res, err := tdmroute.Run(context.Background(), tdmroute.Request{
+		Instance: in,
+		Options:  tdmroute.Options{TDM: tdmroute.TDMOptions{Legal: tdmroute.LegalPow2}},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -158,18 +123,4 @@ func ExampleComputeStats() {
 	fmt.Printf("FPGAs=%d Edges=%d Nets=%d NetGroups=%d\n", s.FPGAs, s.Edges, s.Nets, s.NetGroups)
 	// Output:
 	// FPGAs=6 Edges=7 Nets=3 NetGroups=2
-}
-
-// ExampleSolveIterative runs the feedback extension: reroute the group
-// that realized GTR_max, re-assign warm-started, keep improvements.
-func ExampleSolveIterative() {
-	in := fig1Instance()
-	res, err := tdmroute.SolveIterative(in, tdmroute.IterateOptions{Rounds: 2})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("GTR_max = %d (never worse than single-pass %d)\n",
-		res.Report.GTRMax, res.InitialGTR)
-	// Output:
-	// GTR_max = 8 (never worse than single-pass 8)
 }

@@ -1,6 +1,7 @@
 package tdmroute_test
 
 import (
+	"context"
 	"testing"
 
 	"tdmroute"
@@ -19,7 +20,7 @@ func TestFullScaleSynopsys01(t *testing.T) {
 	if s.Nets != 68_500 || s.NetGroups != 40_600 {
 		t.Fatalf("stats = %+v", s)
 	}
-	res, err := tdmroute.Solve(in, tdmroute.Options{})
+	res, err := tdmroute.Run(context.Background(), tdmroute.Request{Instance: in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,19 +49,22 @@ func TestFullScalePlusTA(t *testing.T) {
 		t.Skip("full-scale run skipped in -short mode")
 	}
 	in := genInstance(t, "synopsys02", 1.0)
-	res, err := tdmroute.Solve(in, tdmroute.Options{})
+	res, err := tdmroute.Run(context.Background(), tdmroute.Request{Instance: in})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assign, rep, err := tdmroute.AssignTDM(in, res.Solution.Routes, tdmroute.TDMOptions{})
+	ta, err := tdmroute.Run(context.Background(), tdmroute.Request{
+		Instance: in,
+		Mode:     tdmroute.ModeAssignOnly,
+		Routing:  res.Solution.Routes,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol := &tdmroute.Solution{Routes: res.Solution.Routes, Assign: assign}
-	if err := tdmroute.ValidateSolution(in, sol); err != nil {
+	if err := tdmroute.ValidateSolution(in, ta.Solution); err != nil {
 		t.Fatal(err)
 	}
-	if rep.GTRMax != res.Report.GTRMax {
+	if rep := ta.Report; rep.GTRMax != res.Report.GTRMax {
 		t.Errorf("re-assignment on same topology differs: %d vs %d", rep.GTRMax, res.Report.GTRMax)
 	}
 }

@@ -142,7 +142,7 @@ func TestRerouteNetsKeepsValidity(t *testing.T) {
 		}
 		// Rip a handful of nets and reroute them against the rest.
 		nets := []int{0, 5, 10, 15}
-		if err := RerouteNets(context.Background(), in, routes, nets, Options{}); err != nil {
+		if err := rerouteNets(context.Background(), in, routes, nets, Options{}); err != nil {
 			t.Fatal(err)
 		}
 		if err := problem.ValidateRouting(in, routes); err != nil {
@@ -153,7 +153,7 @@ func TestRerouteNetsKeepsValidity(t *testing.T) {
 
 func TestRerouteNetsMismatched(t *testing.T) {
 	in := randomInstance(8, 5, 10, 4, 1)
-	if err := RerouteNets(context.Background(), in, make(problem.Routing, 3), []int{0}, Options{}); err == nil {
+	if err := rerouteNets(context.Background(), in, make(problem.Routing, 3), []int{0}, Options{}); err == nil {
 		t.Error("mismatched routing accepted")
 	}
 }
@@ -164,7 +164,7 @@ func TestRerouteNetsMehlhorn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := RerouteNets(context.Background(), in, routes, []int{1, 3}, Options{RerouteSteiner: SteinerMehlhorn}); err != nil {
+	if err := rerouteNets(context.Background(), in, routes, []int{1, 3}, Options{RerouteSteiner: SteinerMehlhorn}); err != nil {
 		t.Fatal(err)
 	}
 	if err := problem.ValidateRouting(in, routes); err != nil {

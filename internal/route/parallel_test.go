@@ -129,11 +129,11 @@ func TestRerouteNetsDuplicatesIgnored(t *testing.T) {
 			t.Fatal(err)
 		}
 		withDup := base.Clone()
-		if err := RerouteNets(context.Background(), in, withDup, []int{1, 5, 1, 9, 5, 1}, Options{}); err != nil {
+		if err := rerouteNets(context.Background(), in, withDup, []int{1, 5, 1, 9, 5, 1}, Options{}); err != nil {
 			t.Fatal(err)
 		}
 		deduped := base.Clone()
-		if err := RerouteNets(context.Background(), in, deduped, []int{1, 5, 9}, Options{}); err != nil {
+		if err := rerouteNets(context.Background(), in, deduped, []int{1, 5, 9}, Options{}); err != nil {
 			t.Fatal(err)
 		}
 		if !routesEqual(withDup, deduped) {
@@ -153,10 +153,10 @@ func TestRerouteNetsOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := RerouteNets(context.Background(), in, routes, []int{0, 10}, Options{}); err == nil {
+	if err := rerouteNets(context.Background(), in, routes, []int{0, 10}, Options{}); err == nil {
 		t.Error("out-of-range net index accepted")
 	}
-	if err := RerouteNets(context.Background(), in, routes, []int{-1}, Options{}); err == nil {
+	if err := rerouteNets(context.Background(), in, routes, []int{-1}, Options{}); err == nil {
 		t.Error("negative net index accepted")
 	}
 }

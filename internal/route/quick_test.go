@@ -83,7 +83,7 @@ func TestQuickRerouteNetsPreservesOthers(t *testing.T) {
 		}
 		before := routes.Clone()
 		nets := []int{0, len(in.Nets) / 2}
-		if err := RerouteNets(context.Background(), in, routes, nets, Options{}); err != nil {
+		if err := rerouteNets(context.Background(), in, routes, nets, Options{}); err != nil {
 			return false
 		}
 		// Untouched nets keep their routes verbatim.

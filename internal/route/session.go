@@ -3,9 +3,9 @@
 // it alone — the APSP distance LUT, the per-net terminal MSTs, the
 // per-worker solver scratch — is computed once per session and shared by
 // the initial routing, every rip-up round, and every feedback-loop reroute.
-// The cold entry points (Route, RerouteNets) are thin wrappers that spin up
-// a throwaway session, and the session-reused results are byte-identical to
-// them by construction: the same code runs against the same state, only its
+// The cold entry point Route is a thin wrapper that spins up a throwaway
+// session, and the session-reused results are byte-identical to it by
+// construction: the same code runs against the same state, only its
 // lifetime differs.
 package route
 
@@ -108,10 +108,10 @@ func (s *Session) Route(ctx context.Context) (problem.Routing, Stats, error) {
 
 // Reroute rips the given nets out of the session's topology and reroutes
 // them sequentially against the remaining global congestion (edge cost =
-// nets currently routed on the edge), exactly as the cold RerouteNets does.
-// Duplicate entries in nets are ignored after the first occurrence. On any
-// error — including cancellation, checked before each net — the session's
-// topology is rolled back to its pre-call state.
+// nets currently routed on the edge). Duplicate entries in nets are ignored
+// after the first occurrence. On any error — including cancellation, checked
+// before each net — the session's topology is rolled back to its pre-call
+// state.
 //
 // A successful Reroute records undo state: UndoReroute restores the
 // previous routes, which is how a rejected feedback round is discarded
@@ -282,28 +282,4 @@ func (s *Session) Stats() Stats { return s.r.stats }
 // Session.Route for the cancellation semantics.
 func Route(ctx context.Context, in *problem.Instance, opt Options) (problem.Routing, Stats, error) {
 	return NewSession(in, opt).Route(ctx)
-}
-
-// RerouteNets rips the given nets out of an existing topology and reroutes
-// them sequentially against the remaining global congestion. routes is
-// modified in place. It is the cold building block of the iterated
-// co-optimization extension, where the group realizing GTR_max — known only
-// after TDM assignment — is rerouted; the iterated solver itself reuses one
-// Session instead. Duplicate entries in nets are ignored after the first
-// occurrence.
-//
-// The context is checked before each net's reroute; on cancellation,
-// RerouteNets returns the cancellation error and routes is left unmodified.
-func RerouteNets(ctx context.Context, in *problem.Instance, routes problem.Routing, nets []int, opt Options) error {
-	s, err := NewSessionFromRouting(in, routes, opt)
-	if err != nil {
-		return err
-	}
-	if err := s.Reroute(ctx, nets); err != nil {
-		return err
-	}
-	for _, n := range s.undoNets {
-		routes[n] = s.r.routes[n]
-	}
-	return nil
 }

@@ -8,6 +8,24 @@ import (
 	"tdmroute/internal/problem"
 )
 
+// rerouteNets rips nets out of an existing topology and reroutes them on a
+// throwaway session seeded from it, writing the rerouted nets back into
+// routes in place; on any error routes is left unmodified. It is the cold
+// reroute the session tests compare one reused Session against.
+func rerouteNets(ctx context.Context, in *problem.Instance, routes problem.Routing, nets []int, opt Options) error {
+	s, err := NewSessionFromRouting(in, routes, opt)
+	if err != nil {
+		return err
+	}
+	if err := s.Reroute(ctx, nets); err != nil {
+		return err
+	}
+	for _, n := range s.undoNets {
+		routes[n] = s.r.routes[n]
+	}
+	return nil
+}
+
 // equalRouting compares two routings edge-for-edge.
 func equalRouting(a, b problem.Routing) bool {
 	if len(a) != len(b) {
@@ -92,9 +110,9 @@ func TestSessionRouteMatchesColdRoute(t *testing.T) {
 }
 
 // TestSessionRerouteMatchesColdRerouteNets reroutes the same net sets
-// through the cold RerouteNets wrapper and through one reused Session,
-// checking the topologies stay identical after every step. This is the
-// session-reuse half of the byte-identity invariant: memoized MSTs and
+// through a throwaway session per step (rerouteNets) and through one reused
+// Session, checking the topologies stay identical after every step. This is
+// the session-reuse half of the byte-identity invariant: memoized MSTs and
 // reused search engines must not change a single edge choice.
 func TestSessionRerouteMatchesColdRerouteNets(t *testing.T) {
 	in := randomInstance(12, 10, 80, 30, 77)
@@ -113,14 +131,14 @@ func TestSessionRerouteMatchesColdRerouteNets(t *testing.T) {
 	for step := 0; step < 10; step++ {
 		gi := rng.Intn(len(in.Groups))
 		nets := in.Groups[gi].Nets
-		if err := RerouteNets(context.Background(), in, coldRoutes, nets, Options{}); err != nil {
+		if err := rerouteNets(context.Background(), in, coldRoutes, nets, Options{}); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Reroute(context.Background(), nets); err != nil {
 			t.Fatal(err)
 		}
 		if !equalRouting(coldRoutes, s.Routes()) {
-			t.Fatalf("step %d: session reroute diverged from cold RerouteNets", step)
+			t.Fatalf("step %d: session reroute diverged from cold rerouteNets", step)
 		}
 	}
 }

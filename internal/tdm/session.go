@@ -26,7 +26,7 @@ import (
 // Session owns one instance's LR working set across an iterated solve. It
 // is not safe for concurrent use.
 //
-// The contract for RunLR/Assign after the first call: every net whose route
+// The contract for RunLR after the first call: every net whose route
 // differs from the previous call must be listed in changed (extra entries
 // with unchanged routes are harmless). The iterated solver satisfies this
 // structurally — a rejected round is undone before the next reroute, so the
@@ -61,7 +61,7 @@ type Session struct {
 }
 
 // NewSession creates an empty session for in; the LR state is built by the
-// first RunLR or Assign call.
+// first RunLR call.
 func NewSession(in *problem.Instance) *Session {
 	return &Session{in: in}
 }
@@ -107,30 +107,6 @@ func (t *Session) RunLR(ctx context.Context, routes problem.Routing, changed []i
 	ratios, z, lb, iters, converged, stopped, bestOut = runLRCore(ctx, t.s, routes, opt, t.best)
 	t.best = bestOut
 	return ratios, z, lb, iters, converged, stopped
-}
-
-// Assign is the session counterpart of the package-level Assign: LR through
-// the session's incremental state, then the shared legalization and
-// refinement. Results and anytime semantics are identical to Assign on the
-// same routing.
-func (t *Session) Assign(ctx context.Context, routes problem.Routing, changed []int, opt Options) (problem.Assignment, Report, error) {
-	opt = opt.withDefaults()
-	relaxed, z, lb, iters, converged, stopped := t.RunLR(ctx, routes, changed, opt)
-	if relaxed == nil {
-		return problem.Assignment{}, Report{}, stopped
-	}
-	assign, rep, err := Finish(ctx, t.in, routes, relaxed, opt)
-	if err != nil {
-		return problem.Assignment{}, Report{}, err
-	}
-	rep.Iterations = iters
-	rep.Converged = converged
-	rep.LowerBound = lb
-	rep.RelaxedZ = z
-	if stopped != nil {
-		rep.Interrupted = stopped // the LR stop is the earlier cause
-	}
-	return assign, rep, nil
 }
 
 // bumpEpoch opens a fresh stamp scope, clearing the stamp arrays only on

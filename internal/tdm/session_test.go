@@ -145,8 +145,9 @@ func TestSessionRunLRMatchesCold(t *testing.T) {
 }
 
 // TestSessionAssignMatchesCold extends the equivalence through legalization
-// and refinement: the full session Assign must reproduce the package Assign
-// integer ratios and report on every topology of a reroute sequence.
+// and refinement: the session's RunLR followed by Finish must reproduce the
+// package Assign integer ratios and report on every topology of a reroute
+// sequence.
 func TestSessionAssignMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	for trial := 0; trial < 10; trial++ {
@@ -156,7 +157,13 @@ func TestSessionAssignMatchesCold(t *testing.T) {
 		cur := routes
 		var changed []int
 		for step := 0; step < 3; step++ {
-			wa, wrep, werr := ses.Assign(context.Background(), cur, changed, opt)
+			relaxed, _, _, iters, converged, werr := ses.RunLR(context.Background(), cur, changed, opt)
+			var wa problem.Assignment
+			var wrep Report
+			if relaxed != nil {
+				wa, wrep, werr = Finish(context.Background(), in, cur, relaxed, opt)
+				wrep.Iterations, wrep.Converged = iters, converged
+			}
 			ca, crep, cerr := Assign(context.Background(), in, cur, opt)
 			if (werr == nil) != (cerr == nil) {
 				t.Fatalf("trial %d step %d: err %v vs %v", trial, step, werr, cerr)

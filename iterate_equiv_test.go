@@ -38,10 +38,9 @@ func equivInstance(t *testing.T, name string, seedShift int64) *Instance {
 
 // TestSolveIterativeMatchesColdReference is the byte-identity contract of
 // the incremental core: across generator seeds, worker counts, and a
-// deterministic mid-round cancellation, the session-reusing
-// SolveIterativeCtx must reproduce the from-scratch reference
-// (solveIterativeCold) exactly — same solution bytes, same round counts,
-// same objective.
+// deterministic mid-round cancellation, Run in ModeIterative must reproduce
+// the from-scratch reference (solveIterativeCold) exactly — same solution
+// bytes, same round counts, same objective.
 func TestSolveIterativeMatchesColdReference(t *testing.T) {
 	cases := []struct {
 		bench string
@@ -55,27 +54,29 @@ func TestSolveIterativeMatchesColdReference(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			for _, cancelRound := range []int{-1, 1} {
 				in := equivInstance(t, tc.bench, tc.shift)
-				run := func(solve func(context.Context, *Instance, IterateOptions) (*IterateResult, error)) *IterateResult {
+				run := func(solve func(context.Context, Request) (*Response, error)) *Response {
 					ctx, cancel := context.WithCancel(context.Background())
 					defer cancel()
-					opt := IterateOptions{
-						Rounds: 4,
-						Base:   Options{Workers: workers},
+					req := Request{
+						Instance: in,
+						Mode:     ModeIterative,
+						Rounds:   4,
+						Options:  Options{Workers: workers},
 					}
 					if cancelRound >= 0 {
-						opt.onRound = func(round int) {
+						req.onRound = func(round int) {
 							if round == cancelRound {
 								cancel()
 							}
 						}
 					}
-					res, err := solve(ctx, in, opt)
+					res, err := solve(ctx, req)
 					if err != nil {
 						t.Fatalf("%s workers=%d cancel=%d: %v", tc.bench, workers, cancelRound, err)
 					}
 					return res
 				}
-				warm := run(SolveIterativeCtx)
+				warm := run(Run)
 				cold := run(solveIterativeCold)
 
 				if warm.Report.GTRMax != cold.Report.GTRMax ||
@@ -109,7 +110,7 @@ func TestSolveIterativeMatchesColdReference(t *testing.T) {
 func TestSolveIterativeBuildsAPSPOnce(t *testing.T) {
 	in := equivInstance(t, "synopsys01", 0)
 	before := graph.APSPBuilds()
-	res, err := SolveIterative(in, IterateOptions{Rounds: 5})
+	res, err := Run(context.Background(), Request{Instance: in, Mode: ModeIterative, Rounds: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,6 +118,6 @@ func TestSolveIterativeBuildsAPSPOnce(t *testing.T) {
 		t.Fatalf("no feedback rounds ran (RoundsRun=%d); the test needs at least one reroute", res.RoundsRun)
 	}
 	if got := graph.APSPBuilds() - before; got != 1 {
-		t.Fatalf("SolveIterative built the APSP %d times, want exactly 1", got)
+		t.Fatalf("ModeIterative built the APSP %d times, want exactly 1", got)
 	}
 }

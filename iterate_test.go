@@ -1,6 +1,7 @@
 package tdmroute_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -10,7 +11,7 @@ import (
 func TestSolveIterativeNeverWorse(t *testing.T) {
 	for _, bench := range []string{"synopsys01", "synopsys02", "hidden01"} {
 		in := genInstance(t, bench, 0.005)
-		res, err := tdmroute.SolveIterative(in, tdmroute.IterateOptions{Rounds: 4})
+		res, err := tdmroute.Run(context.Background(), tdmroute.Request{Instance: in, Mode: tdmroute.ModeIterative, Rounds: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +39,7 @@ func TestSolveIterativeImprovesSomewhere(t *testing.T) {
 	improved := false
 	for _, bench := range []string{"synopsys01", "synopsys02", "synopsys03", "hidden01"} {
 		in := genInstance(t, bench, 0.004)
-		res, err := tdmroute.SolveIterative(in, tdmroute.IterateOptions{Rounds: 5})
+		res, err := tdmroute.Run(context.Background(), tdmroute.Request{Instance: in, Mode: tdmroute.ModeIterative, Rounds: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,11 +54,11 @@ func TestSolveIterativeImprovesSomewhere(t *testing.T) {
 
 func TestSolveIterativeDeterministic(t *testing.T) {
 	in := genInstance(t, "synopsys01", 0.003)
-	a, err := tdmroute.SolveIterative(in, tdmroute.IterateOptions{})
+	a, err := tdmroute.Run(context.Background(), tdmroute.Request{Instance: in, Mode: tdmroute.ModeIterative})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := tdmroute.SolveIterative(in, tdmroute.IterateOptions{})
+	b, err := tdmroute.Run(context.Background(), tdmroute.Request{Instance: in, Mode: tdmroute.ModeIterative})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestIterativeStageTimesAccounted(t *testing.T) {
 	// per-stage sum must stay within the wall clock of the entire solve.
 	in := genInstance(t, "synopsys01", 0.005)
 	start := time.Now()
-	res, err := tdmroute.SolveIterative(in, tdmroute.IterateOptions{Rounds: 4})
+	res, err := tdmroute.Run(context.Background(), tdmroute.Request{Instance: in, Mode: tdmroute.ModeIterative, Rounds: 4})
 	wall := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -98,13 +99,18 @@ func TestWarmStartConvergesFaster(t *testing.T) {
 	// Re-running the assignment on the same topology warm-started from
 	// the converged multipliers must converge (almost) immediately.
 	in := genInstance(t, "synopsys02", 0.01)
-	res, err := tdmroute.Solve(in, tdmroute.Options{})
+	res, err := tdmroute.Run(context.Background(), tdmroute.Request{Instance: in})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var lambda []float64
 	topt := tdmroute.TDMOptions{CaptureLambda: func(l []float64) { lambda = l }}
-	_, cold, err := tdmroute.AssignTDM(in, res.Solution.Routes, topt)
+	cold, err := tdmroute.Run(context.Background(), tdmroute.Request{
+		Instance: in,
+		Mode:     tdmroute.ModeAssignOnly,
+		Options:  tdmroute.Options{TDM: topt},
+		Routing:  res.Solution.Routes,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,12 +118,17 @@ func TestWarmStartConvergesFaster(t *testing.T) {
 		t.Fatal("CaptureLambda not called")
 	}
 	warm := tdmroute.TDMOptions{WarmLambda: lambda}
-	_, rewarm, err := tdmroute.AssignTDM(in, res.Solution.Routes, warm)
+	rewarm, err := tdmroute.Run(context.Background(), tdmroute.Request{
+		Instance: in,
+		Mode:     tdmroute.ModeAssignOnly,
+		Options:  tdmroute.Options{TDM: warm},
+		Routing:  res.Solution.Routes,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rewarm.Iterations > cold.Iterations {
-		t.Errorf("warm start took more iterations: %d vs cold %d", rewarm.Iterations, cold.Iterations)
+	if rewarm.Report.Iterations > cold.Report.Iterations {
+		t.Errorf("warm start took more iterations: %d vs cold %d", rewarm.Report.Iterations, cold.Report.Iterations)
 	}
-	t.Logf("iterations: cold=%d warm=%d", cold.Iterations, rewarm.Iterations)
+	t.Logf("iterations: cold=%d warm=%d", cold.Report.Iterations, rewarm.Report.Iterations)
 }

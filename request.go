@@ -9,6 +9,9 @@ import (
 	"runtime"
 	"strconv"
 	"time"
+
+	"tdmroute/internal/problem"
+	"tdmroute/internal/tdm"
 )
 
 // Mode selects what Run executes.
@@ -88,10 +91,7 @@ type Progress struct {
 	LB   float64
 }
 
-// Request describes one solve. It subsumes the historical entry points:
-// ModeSingle replaces Solve/SolveCtx, ModeIterative replaces
-// SolveIterative/SolveIterativeCtx, and ModeAssignOnly replaces
-// AssignTDM/AssignTDMCtx.
+// Request describes one solve; Run executes it.
 type Request struct {
 	// Instance is the problem instance (required).
 	Instance *Instance
@@ -105,7 +105,7 @@ type Request struct {
 	// Rounds is the feedback-round budget for ModeIterative (0 selects 3).
 	Rounds int
 	// Routing is the fixed topology required by ModeAssignOnly and ignored
-	// by the other modes.
+	// by the other modes. Run rejects it unless ValidateRouting accepts it.
 	Routing Routing
 	// OnProgress, when non-nil, receives solver progress events: every LR
 	// iteration and every feedback-round start. It is invoked synchronously
@@ -117,9 +117,9 @@ type Request struct {
 	// sessions plus the captured multipliers — and return it in
 	// Response.Warm for later ModeDelta requests. Supported by ModeSingle
 	// and ModeIterative; the state is retained only when Run succeeds
-	// (degraded incumbents retain, hard errors do not). Retention does not
-	// change the solution: the retained path computes byte-identical results
-	// to the throwaway one.
+	// (degraded incumbents retain, hard errors do not). Retention changes
+	// neither the solution nor the work done: both modes always solve on
+	// these sessions, and Retain only decides whether they are returned.
 	Retain bool
 	// Base is the warm handle a ModeDelta request re-solves against
 	// (required for ModeDelta, ignored otherwise).
@@ -128,9 +128,11 @@ type Request struct {
 	// ModeDelta, ignored otherwise).
 	Delta *Delta
 
-	// onRound is the deterministic mid-round cancellation hook of the
-	// equivalence tests (see IterateOptions.onRound); it fires before the
-	// OnProgress round event.
+	// onRound, when non-nil, is invoked at the start of every ModeIterative
+	// feedback round, after the round's context check. It exists so tests
+	// can trigger deterministic mid-round cancellation; both the session
+	// pipeline and the cold test oracle honor it at the same point, and it
+	// fires before the OnProgress round event.
 	onRound func(round int)
 }
 
@@ -174,9 +176,11 @@ type Response struct {
 // the package: cancellation and deadlines are observed at deterministic
 // iteration boundaries and degrade the run to its best-so-far legal
 // incumbent (Response.Degraded describes the interruption) instead of
-// failing. An error is returned only when no legal incumbent can exist —
-// a malformed request, cancellation before initial routing completes, or a
-// panic before legalization. For ModeIterative a hard error after the base
+// failing; for a fixed worker count a fixed cancellation point yields a
+// bit-identical incumbent. An error is returned only when no legal
+// incumbent can exist — a malformed request (including a ModeAssignOnly
+// topology ValidateRouting rejects), cancellation before initial routing
+// completes, or a panic before legalization. For ModeIterative a hard error after the base
 // solve returns the incumbent Response alongside the error; callers must
 // check the error first.
 func Run(ctx context.Context, req Request) (*Response, error) {
@@ -211,35 +215,14 @@ func Run(ctx context.Context, req Request) (*Response, error) {
 // dispatch runs the mode-specific pipeline of an already-normalized request.
 func dispatch(ctx context.Context, req Request) (*Response, error) {
 	switch req.Mode {
-	case ModeSingle:
-		if req.Retain {
-			return runSingleRetained(ctx, req)
+	case ModeSingle, ModeIterative:
+		run := solveBase
+		if req.Mode == ModeIterative {
+			run = runIterative
 		}
-		res, err := runSingle(ctx, req.Instance, req.Options)
-		if err != nil {
-			return nil, err
-		}
-		return res.response(ModeSingle), nil
-
-	case ModeIterative:
-		var warm *WarmHandle
-		if req.Retain {
-			warm = &WarmHandle{in: req.Instance, opt: req.Options}
-		}
-		res, err := runIterative(ctx, req.Instance, IterateOptions{
-			Rounds:  req.Rounds,
-			Base:    req.Options,
-			onRound: req.onRound,
-		}, warm)
-		if res == nil {
-			return nil, err
-		}
-		resp := res.Result.response(ModeIterative)
-		resp.RoundsRun = res.RoundsRun
-		resp.RoundsKept = res.RoundsKept
-		resp.InitialGTR = res.InitialGTR
-		if warm != nil && err == nil {
-			resp.Warm = warm
+		resp, h, err := run(ctx, req)
+		if req.Retain && err == nil {
+			resp.Warm = h
 		}
 		return resp, err
 
@@ -258,18 +241,19 @@ func dispatch(ctx context.Context, req Request) (*Response, error) {
 }
 
 // runAssignOnly is the ModeAssignOnly arm of Run: the TDM ratio assignment
-// alone on the request's fixed topology, computing exactly what tdm.Assign
-// computes but with the LR / legalize+refine wall split and the Degraded
-// attribution the other modes report.
+// alone, on a fresh TDM session, over the request's fixed topology. The
+// topology comes from outside the solver, so it is validated first: the
+// assignment indexes edges and nets by it, and Response.Solution promises a
+// legal solution.
 func runAssignOnly(ctx context.Context, req Request) (*Response, error) {
 	if req.Routing == nil {
 		return nil, errors.New("tdmroute: Run: ModeAssignOnly requires a Routing")
 	}
-	if len(req.Routing) != len(req.Instance.Nets) {
-		return nil, fmt.Errorf("tdmroute: routing has %d nets, instance has %d",
-			len(req.Routing), len(req.Instance.Nets))
+	if err := problem.ValidateRouting(req.Instance, req.Routing); err != nil {
+		return nil, fmt.Errorf("tdmroute: Run: ModeAssignOnly routing: %w", err)
 	}
-	assign, rep, times, stage, err := assignTimed(ctx, req.Instance, req.Routing, req.Options.TDM)
+	ts := tdm.NewSession(req.Instance)
+	assign, rep, times, stage, err := assignTimedSession(ctx, ts, req.Instance, req.Routing, nil, req.Options.TDM)
 	if err != nil {
 		return nil, err
 	}
@@ -356,35 +340,6 @@ func (req Request) wireProgress() Request {
 		emit(Progress{Kind: ProgressRound, Round: r})
 	}
 	return req
-}
-
-// response lifts a Result into the unified Response shape.
-func (r *Result) response(mode Mode) *Response {
-	if r == nil {
-		return nil
-	}
-	return &Response{
-		Mode:       mode,
-		Solution:   r.Solution,
-		Report:     r.Report,
-		RouteStats: r.RouteStats,
-		Times:      r.Times,
-		Degraded:   r.Degraded,
-	}
-}
-
-// result projects a Response back onto the deprecated Result shape.
-func (r *Response) result() *Result {
-	if r == nil {
-		return nil
-	}
-	return &Result{
-		Solution:   r.Solution,
-		Report:     r.Report,
-		RouteStats: r.RouteStats,
-		Times:      r.Times,
-		Degraded:   r.Degraded,
-	}
 }
 
 // responseSchemaVersion is the wire schema generation emitted by

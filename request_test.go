@@ -5,10 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"tdmroute/internal/gen"
+	"tdmroute/internal/par"
 	"tdmroute/internal/problem"
 )
 
@@ -25,63 +29,99 @@ func requestInstance(t *testing.T) *Instance {
 	return in
 }
 
-// TestRunMatchesDeprecatedWrappers pins the redesign contract: Run with each
-// mode produces byte-identical solutions to the entry points it subsumes.
-func TestRunMatchesDeprecatedWrappers(t *testing.T) {
+// TestRunMatchesColdReference pins the one-pipeline contract: Run in
+// ModeSingle and ModeAssignOnly, which solve on fresh routing and TDM
+// sessions, reproduces the cold oracle (runSingle, assignTimed) exactly —
+// the same solution bytes, the same full Report, the same routing stats —
+// across boards, generator seeds and worker counts. ModeAssignOnly runs on
+// the topology of the ModeSingle solve.
+func TestRunMatchesColdReference(t *testing.T) {
+	ctx := context.Background()
+	for _, bench := range []string{"synopsys01", "synopsys02", "synopsys03", "synopsys04", "hidden02"} {
+		for shift := int64(0); shift < 4; shift++ {
+			in := equivInstance(t, bench, shift)
+			for _, workers := range []int{1, 4} {
+				name := fmt.Sprintf("%s shift=%d workers=%d", bench, shift, workers)
+				opt, err := Options{Workers: workers}.normalized()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := Run(ctx, Request{Instance: in, Options: opt})
+				if err != nil {
+					t.Fatalf("%s: Run: %v", name, err)
+				}
+				want, err := runSingle(ctx, in, opt)
+				if err != nil {
+					t.Fatalf("%s: runSingle: %v", name, err)
+				}
+				if got.Mode != ModeSingle {
+					t.Fatalf("%s: Mode = %v, want ModeSingle", name, got.Mode)
+				}
+				if !bytes.Equal(solutionBytes(t, got.Solution), solutionBytes(t, want.Solution)) {
+					t.Fatalf("%s: ModeSingle solution bytes diverged from the cold oracle", name)
+				}
+				if !reflect.DeepEqual(got.Report, want.Report) || got.RouteStats != want.RouteStats ||
+					(got.Degraded != nil) != (want.Degraded != nil) {
+					t.Fatalf("%s: ModeSingle report %+v stats %+v degraded %v, cold %+v stats %+v degraded %v",
+						name, got.Report, got.RouteStats, got.Degraded, want.Report, want.RouteStats, want.Degraded)
+				}
+
+				routes := want.Solution.Routes
+				gota, err := Run(ctx, Request{Instance: in, Mode: ModeAssignOnly, Options: opt, Routing: routes})
+				if err != nil {
+					t.Fatalf("%s: Run assign: %v", name, err)
+				}
+				assign, rep, _, stage, err := assignTimed(ctx, in, routes, opt.TDM)
+				if err != nil {
+					t.Fatalf("%s: assignTimed: %v", name, err)
+				}
+				wanta := &Solution{Routes: routes, Assign: assign}
+				if !bytes.Equal(solutionBytes(t, gota.Solution), solutionBytes(t, wanta)) {
+					t.Fatalf("%s: ModeAssignOnly solution bytes diverged from the cold oracle", name)
+				}
+				if !reflect.DeepEqual(gota.Report, rep) || (gota.Degraded != nil) != (stage != "") {
+					t.Fatalf("%s: ModeAssignOnly report %+v degraded %v, cold %+v stage %q",
+						name, gota.Report, gota.Degraded, rep, stage)
+				}
+			}
+		}
+	}
+}
+
+// TestRunAssignOnlyRejectsIllegalRouting is the regression for
+// ModeAssignOnly accepting a topology it cannot legalize: an unrouted
+// multi-terminal net used to come back as an illegal Solution with a nil
+// error, and an out-of-range edge id as a contained index panic. Run now
+// rejects all three with the ValidateRouting error.
+func TestRunAssignOnlyRejectsIllegalRouting(t *testing.T) {
 	in := requestInstance(t)
-
-	single, err := Solve(in, Options{})
+	base, err := Run(context.Background(), Request{Instance: in})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(context.Background(), Request{Instance: in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(solutionBytes(t, single.Solution), solutionBytes(t, got.Solution)) {
-		t.Fatal("ModeSingle: Run and Solve diverged")
-	}
-	if got.Mode != ModeSingle {
-		t.Fatalf("Mode = %v, want ModeSingle", got.Mode)
-	}
-
-	iter, err := SolveIterative(in, IterateOptions{Rounds: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	goti, err := Run(context.Background(), Request{Instance: in, Mode: ModeIterative, Rounds: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(solutionBytes(t, iter.Solution), solutionBytes(t, goti.Solution)) {
-		t.Fatal("ModeIterative: Run and SolveIterative diverged")
-	}
-	if goti.RoundsRun != iter.RoundsRun || goti.RoundsKept != iter.RoundsKept ||
-		goti.InitialGTR != iter.InitialGTR {
-		t.Fatalf("ModeIterative round accounting: Run (%d/%d initial %d) vs wrapper (%d/%d initial %d)",
-			goti.RoundsRun, goti.RoundsKept, goti.InitialGTR,
-			iter.RoundsRun, iter.RoundsKept, iter.InitialGTR)
-	}
-
-	assign, rep, err := AssignTDM(in, single.Solution.Routes, TDMOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gota, err := Run(context.Background(), Request{
-		Instance: in,
-		Mode:     ModeAssignOnly,
-		Routing:  single.Solution.Routes,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := &Solution{Routes: single.Solution.Routes, Assign: assign}
-	if !bytes.Equal(solutionBytes(t, want), solutionBytes(t, gota.Solution)) {
-		t.Fatal("ModeAssignOnly: Run and AssignTDM diverged")
-	}
-	if gota.Report.GTRMax != rep.GTRMax || gota.Report.Iterations != rep.Iterations {
-		t.Fatalf("ModeAssignOnly report: Run (%d, %d iters) vs wrapper (%d, %d iters)",
-			gota.Report.GTRMax, gota.Report.Iterations, rep.GTRMax, rep.Iterations)
+	for _, tc := range []struct {
+		name  string
+		edges []int
+		want  string
+	}{
+		{"unrouted", nil, "net 0: multi-terminal net is unrouted"},
+		{"edge past the end", []int{in.G.NumEdges() + 5}, "net 0: edge id"},
+		{"negative edge", []int{-1}, "net 0: edge id -1 out of range"},
+	} {
+		routes := base.Solution.Routes.Clone()
+		routes[0] = tc.edges
+		resp, err := Run(context.Background(), Request{Instance: in, Mode: ModeAssignOnly, Routing: routes})
+		if err == nil {
+			t.Errorf("%s: accepted (solution legal: %v)", tc.name, ValidateSolution(in, resp.Solution))
+			continue
+		}
+		var pe *par.PanicError
+		if errors.As(err, &pe) {
+			t.Errorf("%s: rejected by a contained panic, not validation: %v", tc.name, err)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.want)
+		}
 	}
 }
 

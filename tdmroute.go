@@ -22,23 +22,25 @@
 // Basic use:
 //
 //	in, _ := tdmroute.LoadInstance("bench.txt")
-//	res, err := tdmroute.Solve(in, tdmroute.Options{})
+//	res, err := tdmroute.Run(ctx, tdmroute.Request{Instance: in})
 //	// res.Solution is legal; res.Report.GTRMax is the objective;
 //	// res.Report.LowerBound certifies how far from relaxed-optimal it is.
 //
-// The stage timings in Result.Times reproduce the runtime breakdown of
-// Fig. 3(a); tdm.Options.Trace exposes the convergence series of Fig. 3(b).
+// Run is the only entry point: Request.Mode selects the one-pass framework
+// (ModeSingle), the TDM assignment alone on a fixed topology
+// (ModeAssignOnly, the "+TA" experiment), the feedback extension
+// (ModeIterative) or an ECO re-solve (ModeDelta). The stage timings in
+// Response.Times reproduce the runtime breakdown of Fig. 3(a);
+// tdm.Options.Trace exposes the convergence series of Fig. 3(b).
 package tdmroute
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
 
 	"tdmroute/internal/eval"
 	"tdmroute/internal/mux"
-	"tdmroute/internal/par"
 	"tdmroute/internal/problem"
 	"tdmroute/internal/route"
 	"tdmroute/internal/tdm"
@@ -210,8 +212,8 @@ type Degraded struct {
 	Cause error
 	// LRIterations counts completed Lagrangian-relaxation iterations.
 	LRIterations int
-	// FeedbackRounds counts feedback rounds started by SolveIterative
-	// (always 0 for Solve).
+	// FeedbackRounds counts feedback rounds started by a ModeIterative run
+	// (always 0 in the other modes).
 	FeedbackRounds int
 	// IncumbentGTR is GTR_max of the returned incumbent solution.
 	IncumbentGTR int64
@@ -220,156 +222,6 @@ type Degraded struct {
 func (d *Degraded) String() string {
 	return fmt.Sprintf("degraded at stage %s after %d LR iterations (GTR_max %d): %v",
 		d.Stage, d.LRIterations, d.IncumbentGTR, d.Cause)
-}
-
-// Result is the outcome of Solve.
-type Result struct {
-	Solution   *Solution
-	Report     Report
-	RouteStats RouteStats
-	Times      StageTimes
-	// Degraded is non-nil when the run was interrupted and Solution is a
-	// best-so-far incumbent; nil means the full optimization budget ran.
-	Degraded *Degraded
-}
-
-// Solve runs the full framework of Fig. 2(b) — NetGroup-aware routing
-// followed by TDM ratio assignment — and returns a legal solution.
-//
-// Deprecated: Use Run with a ModeSingle Request; Solve is a compatibility
-// wrapper over it.
-func Solve(in *Instance, opt Options) (*Result, error) {
-	return SolveCtx(context.Background(), in, opt)
-}
-
-// SolveCtx is Solve under a context: when ctx is cancelled or its deadline
-// expires mid-solve, the pipeline stops at the next deterministic iteration
-// boundary and returns the best incumbent solution found so far, with
-// Result.Degraded describing the interruption. An error is returned only
-// when no legal incumbent exists yet (cancellation before initial routing
-// completes, a malformed instance, or a panic before legalization).
-// Cancellation is observed only at deterministic boundaries, so for a fixed
-// worker count a fixed cancellation point yields a bit-identical incumbent.
-//
-// Deprecated: Use Run with a ModeSingle Request; SolveCtx is a
-// compatibility wrapper over it.
-func SolveCtx(ctx context.Context, in *Instance, opt Options) (*Result, error) {
-	resp, err := Run(ctx, Request{Instance: in, Options: opt})
-	if err != nil {
-		return nil, err
-	}
-	return resp.result(), nil
-}
-
-// runSingle is the ModeSingle pipeline: routing followed by TDM ratio
-// assignment, with options already normalized by the Run boundary.
-func runSingle(ctx context.Context, in *Instance, opt Options) (*Result, error) {
-	res := &Result{}
-	t0 := time.Now()
-	var routes Routing
-	var rstats RouteStats
-	err := par.Capture(func() error {
-		var e error
-		routes, rstats, e = route.Route(ctx, in, opt.Route)
-		return e
-	})
-	res.Times.Route = time.Since(t0)
-	if err != nil {
-		return nil, err
-	}
-	res.RouteStats = rstats
-	routeCurtailed := ctx.Err() != nil
-
-	assign, rep, times, stage, err := assignTimed(ctx, in, routes, opt.TDM)
-	res.Times.LR = times.LR
-	res.Times.LegalRefine = times.LegalRefine
-	if err != nil {
-		return nil, err
-	}
-	res.Report = rep
-	res.Solution = &Solution{Routes: routes, Assign: assign}
-	if routeCurtailed {
-		stage = StageRoute
-	}
-	if stage != "" {
-		res.Degraded = &Degraded{
-			Stage:        stage,
-			Cause:        degradedCause(rep, ctx),
-			LRIterations: rep.Iterations,
-			IncumbentGTR: rep.GTRMax,
-		}
-	}
-	return res, nil
-}
-
-// AssignTDM runs only the TDM ratio assignment stage on a fixed routing
-// topology — the "+TA" experiment of Table II, where the paper improves the
-// contest winners' solutions from their topologies alone.
-//
-// Deprecated: Use Run with a ModeAssignOnly Request; AssignTDM is a
-// compatibility wrapper over it.
-func AssignTDM(in *Instance, routes Routing, opt TDMOptions) (Assignment, Report, error) {
-	return AssignTDMCtx(context.Background(), in, routes, opt)
-}
-
-// AssignTDMCtx is AssignTDM under a context: an interrupted run still
-// returns a legal assignment legalized from the best LR incumbent, with
-// Report.Interrupted recording the cause.
-//
-// Deprecated: Use Run with a ModeAssignOnly Request; AssignTDMCtx is a
-// compatibility wrapper over it.
-func AssignTDMCtx(ctx context.Context, in *Instance, routes Routing, opt TDMOptions) (Assignment, Report, error) {
-	resp, err := Run(ctx, Request{
-		Instance: in,
-		Mode:     ModeAssignOnly,
-		Options:  Options{TDM: opt},
-		Routing:  routes,
-	})
-	if err != nil {
-		return Assignment{}, Report{}, err
-	}
-	return resp.Solution.Assign, resp.Report, nil
-}
-
-// assignTimed splits the assignment stage into the LR and
-// legalization+refinement timings needed by the Fig. 3(a) breakdown. The
-// returned stage is "" for a complete run, or the stage the interruption
-// curtailed (StageLR or StageRefine); both stage timers are populated even
-// on the error path so callers can fold partial work into their totals.
-func assignTimed(ctx context.Context, in *Instance, routes Routing, opt TDMOptions) (Assignment, Report, StageTimes, Stage, error) {
-	var times StageTimes
-	t0 := time.Now()
-	// Run LR and legalization separately from tdm.Assign so the two
-	// timers can be split; tdm.Assign composes the same calls.
-	relaxed, z, lb, iters, converged, stopped := tdm.RunLR(ctx, in, routes, opt)
-	times.LR = time.Since(t0)
-	if relaxed == nil {
-		// No legalizable incumbent: even the bounded fallback pass failed.
-		return Assignment{}, Report{}, times, StageLR, stopped
-	}
-
-	t1 := time.Now()
-	assign, rep, err := tdm.Finish(ctx, in, routes, relaxed, opt)
-	times.LegalRefine = time.Since(t1)
-	if err != nil {
-		return Assignment{}, Report{}, times, StageRefine, err
-	}
-
-	rep.Iterations = iters
-	rep.Converged = converged
-	rep.LowerBound = lb
-	rep.RelaxedZ = z
-	var stage Stage
-	switch {
-	case stopped != nil:
-		// LR stopped early; Finish may have recorded its own (refine)
-		// interruption, but the earlier stage wins the attribution.
-		stage = StageLR
-		rep.Interrupted = stopped
-	case rep.Interrupted != nil:
-		stage = StageRefine
-	}
-	return assign, rep, times, stage, nil
 }
 
 // Evaluate returns GTR_max of a solution and the index of a group attaining

@@ -2,6 +2,7 @@ package tdmroute_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -24,7 +25,7 @@ func genInstance(t testing.TB, name string, scale float64) *tdmroute.Instance {
 
 func TestSolveEndToEnd(t *testing.T) {
 	in := genInstance(t, "synopsys01", 0.005)
-	res, err := tdmroute.Solve(in, tdmroute.Options{})
+	res, err := tdmroute.Run(context.Background(), tdmroute.Request{Instance: in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestSolveEndToEnd(t *testing.T) {
 
 func TestAssignTDMOnExternalTopology(t *testing.T) {
 	in := genInstance(t, "synopsys02", 0.005)
-	res, err := tdmroute.Solve(in, tdmroute.Options{})
+	res, err := tdmroute.Run(context.Background(), tdmroute.Request{Instance: in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,17 +69,20 @@ func TestAssignTDMOnExternalTopology(t *testing.T) {
 	if err := tdmroute.ValidateRouting(in, routes); err != nil {
 		t.Fatal(err)
 	}
-	assign, rep, err := tdmroute.AssignTDM(in, routes, tdmroute.TDMOptions{})
+	ta, err := tdmroute.Run(context.Background(), tdmroute.Request{
+		Instance: in,
+		Mode:     tdmroute.ModeAssignOnly,
+		Routing:  routes,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol := &tdmroute.Solution{Routes: routes, Assign: assign}
-	if err := tdmroute.ValidateSolution(in, sol); err != nil {
+	if err := tdmroute.ValidateSolution(in, ta.Solution); err != nil {
 		t.Fatal(err)
 	}
-	// Same topology, same algorithm: the result must match Solve's.
-	if rep.GTRMax != res.Report.GTRMax {
-		t.Errorf("AssignTDM GTRMax %d != Solve's %d on identical topology", rep.GTRMax, res.Report.GTRMax)
+	// Same topology, same algorithm: the result must match ModeSingle's.
+	if ta.Report.GTRMax != res.Report.GTRMax {
+		t.Errorf("ModeAssignOnly GTRMax %d != ModeSingle's %d on identical topology", ta.Report.GTRMax, res.Report.GTRMax)
 	}
 }
 
@@ -104,11 +108,11 @@ func TestInstanceTextRoundTripThroughFacade(t *testing.T) {
 
 func TestSolveDeterministic(t *testing.T) {
 	in := genInstance(t, "synopsys01", 0.003)
-	r1, err := tdmroute.Solve(in, tdmroute.Options{})
+	r1, err := tdmroute.Run(context.Background(), tdmroute.Request{Instance: in})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := tdmroute.Solve(in, tdmroute.Options{})
+	r2, err := tdmroute.Run(context.Background(), tdmroute.Request{Instance: in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,13 +124,16 @@ func TestSolveDeterministic(t *testing.T) {
 func TestSolveTraceOption(t *testing.T) {
 	in := genInstance(t, "synopsys01", 0.002)
 	count := 0
-	_, err := tdmroute.Solve(in, tdmroute.Options{
-		TDM: tdmroute.TDMOptions{Trace: func(iter int, z, lb float64) {
-			count++
-			if lb > z*(1+1e-9) {
-				t.Errorf("iter %d: lb %g above z %g", iter, lb, z)
-			}
-		}},
+	_, err := tdmroute.Run(context.Background(), tdmroute.Request{
+		Instance: in,
+		Options: tdmroute.Options{
+			TDM: tdmroute.TDMOptions{Trace: func(iter int, z, lb float64) {
+				count++
+				if lb > z*(1+1e-9) {
+					t.Errorf("iter %d: lb %g above z %g", iter, lb, z)
+				}
+			}},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +145,7 @@ func TestSolveTraceOption(t *testing.T) {
 
 func TestSolutionFileRoundTrip(t *testing.T) {
 	in := genInstance(t, "synopsys01", 0.002)
-	res, err := tdmroute.Solve(in, tdmroute.Options{})
+	res, err := tdmroute.Run(context.Background(), tdmroute.Request{Instance: in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +172,7 @@ func TestSolutionFileRoundTrip(t *testing.T) {
 
 func TestVerifySchedulesOnSolvedInstance(t *testing.T) {
 	in := genInstance(t, "synopsys01", 0.003)
-	res, err := tdmroute.Solve(in, tdmroute.Options{})
+	res, err := tdmroute.Run(context.Background(), tdmroute.Request{Instance: in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +188,7 @@ func TestVerifySchedulesOnSolvedInstance(t *testing.T) {
 
 func TestVerifySchedulesDetectsOverload(t *testing.T) {
 	in := genInstance(t, "synopsys01", 0.002)
-	res, err := tdmroute.Solve(in, tdmroute.Options{})
+	res, err := tdmroute.Run(context.Background(), tdmroute.Request{Instance: in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,11 +221,11 @@ func TestVerifySchedulesDetectsOverload(t *testing.T) {
 // as a diff rather than silently shifting results.
 func TestGoldenDeterminism(t *testing.T) {
 	in := genInstance(t, "synopsys01", 0.005)
-	res, err := tdmroute.Solve(in, tdmroute.Options{})
+	res, err := tdmroute.Run(context.Background(), tdmroute.Request{Instance: in})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := tdmroute.Solve(in, tdmroute.Options{})
+	r1, err := tdmroute.Run(context.Background(), tdmroute.Request{Instance: in})
 	if err != nil {
 		t.Fatal(err)
 	}
